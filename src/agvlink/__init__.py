@@ -5,10 +5,10 @@ tracking loop (reference tracks, error transform, control law, plant, the
 zero-order-hold input buffer, and the closed-loop simulator), `stability`
 linearizes that loop with every command n samples old and searches for the
 largest lag at which it stays stable, `channel` models the correlated
-Rayleigh downlink (special functions, per-slot and back-to-back outage
-probabilities, fading samplers), `analysis` composes the two sides into the
-instability probability and its parameter sweeps, and `cli` exposes
-everything as subcommands.
+Rayleigh downlink (per-slot and back-to-back outage probabilities, with J0
+and Marcum Q1 taken from scipy.special, and fading samplers), `analysis`
+composes the two sides into the instability probability and its parameter
+sweeps, and `cli` exposes everything as subcommands.
 """
 
 from ._version import __version__
@@ -37,13 +37,11 @@ from .channel import (
     LinkParams,
     OutageModel,
     back_to_back_prob,
-    bessel_j0,
     build_outage_model,
     consecutive_outage_log10,
     consecutive_outage_prob,
     doppler_shift,
     fading_correlation,
-    marcum_q1,
     outage_probability,
     phi_variable,
     sample_fading_gains,
@@ -63,7 +61,6 @@ from .control import (
     Trajectory,
     build_reference_track,
     control_law,
-    delayed_input,
     plant_step,
     simulate_closed_loop,
     tracking_error,
@@ -78,16 +75,12 @@ from .exceptions import (
 from .stability import (
     CandidateScan,
     StabilityReport,
-    eigenvalues_3x3,
     evaluate_candidate,
     input_jacobian,
-    is_stable_step,
     outage_tolerance,
     simulate_burst_stability,
     simulate_delay_stability,
-    spectral_radius_3x3,
     split_jacobians,
-    state_jacobian,
     write_stability_csv,
 )
 
@@ -97,18 +90,16 @@ __all__ = [
     "Pose", "TrackError", "ControlInput", "Gains", "TrackSpec",
     "ReferenceTrack", "InputBuffer", "Trajectory",
     "build_reference_track", "tracking_error", "control_law", "plant_step",
-    "delayed_input", "simulate_closed_loop", "wrap_angle",
-    "write_trajectory_csv",
+    "simulate_closed_loop", "wrap_angle", "write_trajectory_csv",
     # stability
-    "CandidateScan", "StabilityReport", "split_jacobians", "state_jacobian",
-    "input_jacobian", "eigenvalues_3x3", "spectral_radius_3x3",
-    "is_stable_step", "evaluate_candidate", "outage_tolerance",
+    "CandidateScan", "StabilityReport", "split_jacobians", "input_jacobian",
+    "evaluate_candidate", "outage_tolerance",
     "simulate_delay_stability", "simulate_burst_stability",
     "write_stability_csv",
     # channel
     "LinkParams", "OutageModel", "spectral_efficiency", "snr_threshold",
-    "outage_probability", "doppler_shift", "bessel_j0", "fading_correlation",
-    "marcum_q1", "phi_variable", "back_to_back_prob",
+    "outage_probability", "doppler_shift", "fading_correlation",
+    "phi_variable", "back_to_back_prob",
     "consecutive_outage_prob", "consecutive_outage_log10",
     "build_outage_model", "sample_fading_gains", "sample_outage_sequence",
     "sample_markov_outages", "SPEED_OF_LIGHT", "DEFAULT_CARRIER_FREQ",

@@ -13,11 +13,10 @@ back-to-back conditional outage probability
 (Q1 = first-order Marcum function), and a run of n losses has probability
 P_e(n) = p1 * p_bb^(n-1).
 
-The special functions are implemented here rather than imported: J0 as a
-power series below |x| = 8 and a Hankel asymptotic expansion with Cephes
-rational coefficients beyond; Q1 as a scaled-Bessel series with a Miller
-downward recurrence for moderate a*b and composite Gauss-Legendre quadrature
-of the defining density for the huge arguments the rho -> 1 clamp produces.
+Both special functions come from scipy.special: J0 is `j0`, and Q1 is taken
+from the noncentral chi-square distribution with two degrees of freedom,
+Q1(a, b) = 1 - chndtr(b^2, 2, a^2). Their numpy scalars are converted to
+Python floats, whose repr the CSV writers print as plain numbers.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.special import chndtr, j0
 
 from .exceptions import NumericConsistencyError, ParameterError
 
@@ -95,186 +94,17 @@ def doppler_shift(velocity: float, carrier_freq: float = DEFAULT_CARRIER_FREQ) -
     return velocity * carrier_freq / SPEED_OF_LIGHT
 
 
-# --- Bessel J0 -------------------------------------------------------------
-
-# Hankel-expansion rationals from the Cephes math library (j0.c),
-# release 2.1 (1984, 1987, 1989, Stephen L. Moshier); absolute error
-# ~4e-16 on the asymptotic domain.
-_SQ2OPI = 7.9788456080286535587989e-1   # sqrt(2/pi)
-_PIO4 = 7.85398163397448309616e-1
-
-_PP = (7.96936729297347051624e-4, 8.28352392107440799803e-2,
-       1.23953371646414299388e0, 5.44725003058768775090e0,
-       8.74716500199817011941e0, 5.30324038235394892183e0,
-       9.99999999999999997821e-1)
-_PQ = (9.24408810558863637013e-4, 8.56288474354474431428e-2,
-       1.25352743901058953537e0, 5.47097740330417105182e0,
-       8.76190883237069594232e0, 5.30605288235394617618e0,
-       1.00000000000000000218e0)
-_QP = (-1.13663838898469149931e-2, -1.28252718670509318512e0,
-       -1.95539544257735972385e1, -9.32060152123768231369e1,
-       -1.77681167980488050595e2, -1.47077505154951170175e2,
-       -5.14105326766599330220e1, -6.05014350600728481186e0)
-_QQ = (6.43178256118178023184e1, 8.56430025976980587198e2,
-       3.88240183605401609683e3, 7.24046774195652478189e3,
-       5.93072701187316984827e3, 2.06209331660327847417e3,
-       2.42005740240291393179e2)
-
-
-def _polevl(x: float, coef) -> float:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: float, coef) -> float:
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind, order zero.
-
-    Power series sum_k (-x^2/4)^k / (k!)^2 below |x| = 8 (compensated
-    summation keeps the alternating cancellation at ~1e-13 absolute),
-    Hankel asymptotic expansion beyond.
-    """
-    x = abs(float(x))
-    if not math.isfinite(x):
-        raise ParameterError("bessel_j0 requires finite x")
-    if x < 8.0:
-        t = -0.25 * x * x
-        term = 1.0
-        terms = [1.0]
-        k = 0
-        while abs(term) > 1e-20:
-            k += 1
-            term *= t / (k * k)
-            terms.append(term)
-        return math.fsum(terms)
-    z = 25.0 / (x * x)
-    p = _polevl(z, _PP) / _polevl(z, _PQ)
-    q = _polevl(z, _QP) / _p1evl(z, _QQ)
-    xn = x - _PIO4
-    return _SQ2OPI * (p * math.cos(xn) - (5.0 / x) * q * math.sin(xn)) / math.sqrt(x)
-
-
 def fading_correlation(f_d: float, ts: float) -> float:
     """Slot-to-slot gain correlation J0(2*pi*f_d*ts), clamped away from +-1.
 
     The clamp (at 1 - 1e-9) keeps the conditional-outage expression finite at
     zero Doppler instead of special-casing a degenerate fully-coherent slot.
     """
-    if f_d < 0 or ts <= 0:
-        raise ParameterError("f_d must be nonnegative and ts positive")
-    rho = bessel_j0(2.0 * math.pi * f_d * ts)
+    if not (0.0 <= f_d < math.inf and 0.0 < ts < math.inf):
+        raise ParameterError(
+            "f_d must be finite and nonnegative, ts finite and positive")
+    rho = float(j0(2.0 * math.pi * f_d * ts))
     return min(max(rho, -RHO_LIMIT), RHO_LIMIT)
-
-
-# --- Marcum Q1 -------------------------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-_SERIES_MAX_AB = 1.0e4
-_SUPPORT_HALFWIDTH = 42.0   # exp(-42^2/2) is far below any tolerance here
-
-
-def _bessel_i0e(z: float) -> float:
-    """Scaled modified Bessel I0(z)*exp(-z) for z >= 0."""
-    if z <= 100.0:
-        t = 0.25 * z * z
-        term, total, k = 1.0, 1.0, 0
-        while term > 1e-18 * total:
-            k += 1
-            term *= t / (k * k)
-            total += term
-        return total * math.exp(-z)
-    u = 1.0 / (8.0 * z)
-    # first asymptotic terms; past z=100 the truncation sits below 1e-14 relative
-    series = 1.0 + u * (1.0 + u * (4.5 + u * (37.5 + u * 459.375)))
-    return series / math.sqrt(2.0 * math.pi * z)
-
-
-def _ive_sequence(x: float, kmax: int) -> list[float]:
-    """I_k(x)*exp(-x) for k = 0..kmax by normalized downward recurrence."""
-    if x == 0.0:
-        out = [0.0] * (kmax + 1)
-        out[0] = 1.0
-        return out
-    start = kmax + int(math.ceil(math.sqrt(40.0 * max(kmax, 1)))) + 20
-    vals = [0.0] * (start + 2)
-    vals[start] = 1e-300
-    for k in range(start, 0, -1):
-        nxt = vals[k + 1] + (2.0 * k / x) * vals[k]
-        vals[k - 1] = nxt
-        if nxt > 1e250:   # rescale mid-recurrence to dodge overflow
-            scale = 1e-250
-            for j in range(k - 1, start + 2):
-                vals[j] *= scale
-    norm = vals[0] + 2.0 * math.fsum(vals[1:start + 1])
-    return [v / norm for v in vals[:kmax + 1]]
-
-
-def _marcum_series(a: float, b: float) -> float:
-    lo, hi = (a, b) if a <= b else (b, a)
-    x = a * b
-    r = lo / hi
-    k_ive = int(math.ceil(9.2 * math.sqrt(x))) + 30
-    if r < 0.999:
-        k_geo = int(math.ceil(-41.5 / math.log(r))) + 2 if r > 0 else 1
-        kmax = min(k_geo, k_ive)
-    else:
-        kmax = k_ive
-    ive = _ive_sequence(x, kmax)
-    prefactor = math.exp(-0.5 * (hi - lo) * (hi - lo))
-    if a <= b:
-        powers = [ive[k] * r**k for k in range(kmax + 1)]
-        return prefactor * math.fsum(powers)
-    # complement identity keeps the geometric base below one for a > b
-    powers = [ive[k] * r**k for k in range(1, kmax + 1)]
-    return 1.0 - prefactor * math.fsum(powers)
-
-
-def _marcum_quadrature(a: float, b: float) -> float:
-    def density(x: float) -> float:
-        return x * math.exp(-0.5 * (x - a) * (x - a)) * _bessel_i0e(a * x)
-
-    def panels(lo: float, hi: float) -> float:
-        total = 0.0
-        edges = np.linspace(lo, hi, 24)
-        for i in range(len(edges) - 1):
-            mid = 0.5 * (edges[i] + edges[i + 1])
-            half = 0.5 * (edges[i + 1] - edges[i])
-            total += half * math.fsum(
-                w * density(mid + half * t)
-                for t, w in zip(_GL_NODES, _GL_WEIGHTS))
-        return total
-
-    if b >= a:
-        if b - a > _SUPPORT_HALFWIDTH:
-            return 0.0
-        return panels(b, b + _SUPPORT_HALFWIDTH)
-    lo = max(0.0, a - _SUPPORT_HALFWIDTH)
-    if b <= lo:
-        return 1.0
-    return 1.0 - panels(lo, b)
-
-
-def marcum_q1(a: float, b: float) -> float:
-    """First-order Marcum Q function Q1(a, b)."""
-    if a < 0 or b < 0:
-        raise ParameterError("marcum_q1 requires nonnegative arguments")
-    if b == 0.0:
-        return 1.0
-    if a == 0.0:
-        return math.exp(-0.5 * b * b)
-    if a * b <= _SERIES_MAX_AB:
-        q = _marcum_series(a, b)
-    else:
-        q = _marcum_quadrature(a, b)
-    return min(max(q, 0.0), 1.0)
 
 
 # --- outage chain ----------------------------------------------------------
@@ -305,7 +135,10 @@ def back_to_back_prob(gamma_th: float, rho: float,
     """
     ar = abs(rho)
     phi = phi_variable(gamma_th, ar, convention)
-    numerator = marcum_q1(phi, ar * phi) - marcum_q1(ar * phi, phi)
+    # Q1(a, b) = 1 - chndtr(b^2, 2, a^2), so the numerator
+    # Q1(phi, rho phi) - Q1(rho phi, phi) needs no constant term
+    hi, lo = phi * phi, (ar * phi) ** 2
+    numerator = float(chndtr(hi, 2, lo) - chndtr(lo, 2, hi))
     p_bb = 1.0 - numerator / math.expm1(gamma_th)
     if p_bb < -1e-6 or p_bb > 1.0 + 1e-6:
         raise NumericConsistencyError(
@@ -407,6 +240,8 @@ def sample_fading_gains(rho: float, length: int, seed: int,
     h0 = cplx[0]
     if length == 1:
         return cplx[:1]
+    from scipy.signal import lfilter   # deferred: it dominates `import agvlink`
+
     innovation_gain = math.sqrt(1.0 - rho * rho)
     tail, _ = lfilter([innovation_gain], [1.0, -rho], cplx[1:],
                       zi=np.array([rho * h0]))

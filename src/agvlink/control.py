@@ -235,11 +235,6 @@ class InputBuffer:
         return self._ring[-1 - lag_n]
 
 
-def delayed_input(buf: InputBuffer, lag_n: int) -> ControlInput:
-    """Zero-order-hold lookup of the command sent lag_n samples ago."""
-    return buf.at_lag(lag_n)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Closed-loop run: per-step states, errors, applied commands, loss flags."""
@@ -275,12 +270,13 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
     wrap around the closed track with the heading continued across laps.
 
     With delay = n > 0 every command reaches the vehicle n samples after it
-    was computed, as `InputBuffer.at_lag(n)` returns it: the command applied
-    at step k was computed from the state at step k - n, and
-    outage_schedule[k] refers to the packet arriving at step k (the first
-    arrival, at step n, is always delivered). No command has arrived during
-    the first n steps, so the vehicle waits at the start with zero velocity
-    and the run begins about nu_r * n * ts behind the reference.
+    was computed, as `InputBuffer.at_lag(n)` returns it (the buffer is the
+    tests' reference for this loop): the command applied at step k was
+    computed from the state at step k - n, and outage_schedule[k] refers to
+    the packet arriving at step k (the first arrival, at step n, is always
+    delivered). No command has arrived during the first n steps, so the
+    vehicle waits at the start with zero velocity and the run begins about
+    nu_r * n * ts behind the reference.
     """
     schedule = np.asarray(outage_schedule, dtype=bool)
     steps = len(schedule)

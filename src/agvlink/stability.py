@@ -90,13 +90,6 @@ def split_jacobians(theta_k: float, theta_kn: float, nu_kn: float, ts: float,
     return a_cur, a_stale
 
 
-def state_jacobian(theta_k: float, theta_kn: float, nu_kn: float, ts: float,
-                   g: Gains) -> np.ndarray:
-    """Lag-0 Jacobian A_cur + A_stale: current and stale pose moved together."""
-    a_cur, a_stale = split_jacobians(theta_k, theta_kn, nu_kn, ts, g)
-    return a_cur + a_stale
-
-
 def _char_coeffs(a: np.ndarray) -> tuple[float, float, float]:
     """Coefficients (tr, m2, det) of lam^3 - tr lam^2 + m2 lam - det."""
     tr = a[0, 0] + a[1, 1] + a[2, 2]
@@ -107,79 +100,6 @@ def _char_coeffs(a: np.ndarray) -> tuple[float, float, float]:
            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
     return float(tr), float(m2), float(det)
-
-
-def _cubic_roots(tr: float, m2: float, det: float) -> np.ndarray:
-    """Roots of lam^3 - tr lam^2 + m2 lam - det as a complex triple."""
-    s = tr / 3.0
-    p = m2 - tr * tr / 3.0
-    q = m2 * s - det - 2.0 * s**3
-    disc = 0.25 * q * q + p**3 / 27.0
-    if disc <= 0.0:
-        # three real roots, trigonometric form
-        if p >= 0.0:  # only reachable with p == q == 0 (triple root)
-            return np.array([s, s, s], dtype=complex)
-        m = math.sqrt(-p / 3.0)
-        arg = min(1.0, max(-1.0, 3.0 * q / (2.0 * p * m)))
-        theta = math.acos(arg) / 3.0
-        ts_ = [2.0 * m * math.cos(theta - 2.0 * math.pi * j / 3.0) for j in range(3)]
-        return np.array([t + s for t in ts_], dtype=complex)
-    sd = math.sqrt(disc)
-    big_a = np.cbrt(-q / 2.0 + sd)
-    big_b = np.cbrt(-q / 2.0 - sd)
-    t_real = float(big_a + big_b)
-    # remaining quadratic factor t^2 + t_real t + (p + t_real^2)
-    c = p + t_real * t_real
-    im = math.sqrt(max(c - 0.25 * t_real * t_real, 0.0))
-    return np.array([t_real + s,
-                     complex(-0.5 * t_real + s, im),
-                     complex(-0.5 * t_real + s, -im)])
-
-
-def eigenvalues_3x3(a: np.ndarray, eigenvectors: bool = False):
-    """Eigenvalues of a real 3x3 matrix via its characteristic cubic.
-
-    One Newton step on the characteristic polynomial polishes each root
-    (closed forms degrade near repeated roots). With eigenvectors=True also
-    returns unit eigenvectors built from adjugate row cross-products.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3, 3) or not np.all(np.isfinite(a)):
-        raise ParameterError("expected a finite 3x3 matrix")
-    tr, m2, det = _char_coeffs(a)
-    roots = _cubic_roots(tr, m2, det)
-    for i, lam in enumerate(roots):
-        val = ((lam - tr) * lam + m2) * lam - det
-        der = (3.0 * lam - 2.0 * tr) * lam + m2
-        if abs(der) > 1e3 * abs(val):
-            roots[i] = lam - val / der
-    if not eigenvectors:
-        return roots
-    vecs = np.empty((3, 3), dtype=complex)
-    for i, lam in enumerate(roots):
-        m = a.astype(complex) - lam * np.eye(3)
-        crosses = [np.cross(m[r0], m[r1]) for r0, r1 in ((0, 1), (0, 2), (1, 2))]
-        v = max(crosses, key=lambda w: float(np.abs(w) @ np.abs(w)))
-        norm = math.sqrt(float(np.abs(v) @ np.abs(v)))
-        if norm == 0.0:  # defective or scaled-identity direction; any unit vector works
-            v = np.array([1.0, 0.0, 0.0], dtype=complex); norm = 1.0
-        vecs[:, i] = v / norm
-    return roots, vecs
-
-
-def spectral_radius_3x3(a: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a real 3x3 matrix."""
-    return float(np.max(np.abs(eigenvalues_3x3(a))))
-
-
-def is_stable_step(a: np.ndarray, margin: float = 0.0) -> bool:
-    """True iff every eigenvalue modulus is strictly below 1 - margin.
-
-    Zero eigenvalues count as stable (deadbeat response, not divergence).
-    """
-    if margin < 0.0:
-        raise ParameterError("stability margin must be nonnegative")
-    return spectral_radius_3x3(a) < 1.0 - margin
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -444,6 +364,11 @@ def simulate_delay_stability(track: ReferenceTrack, g: Gains, n: int) -> bool:
     the larger semi-axis, and swings less (max - min) over the last window
     than over the first: a stable loop settles onto its constant standing
     error, an unstable one swings ever wider.
+
+    The run sees only the speeds it passes through. On a short, fast ellipse
+    it can miss a marginal frozen-time instability: on the 350 x 200 m
+    ellipse traced in 20 s at 4 ms it calls lag 18 stable, while the fastest
+    operating point, and so `evaluate_candidate`, finds it unstable.
     """
     if n < 0:
         raise ParameterError("delay must be nonnegative")

@@ -17,31 +17,32 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
-from scipy import special as sp
 
 from agvlink import (
+    DEFAULT_TRACE_GRID,
     DEFAULT_TS_GRID,
     Gains,
+    LinkParams,
     PointResult,
     ScenarioConfig,
     TrackSpec,
     back_to_back_prob,
-    bessel_j0,
+    build_outage_model,
     build_reference_track,
     consecutive_outage_prob,
     evaluate_candidate,
+    fading_correlation,
     instability_probability,
-    marcum_q1,
     outage_probability,
     outage_tolerance,
     sample_outage_sequence,
     simulate_closed_loop,
     simulate_delay_stability,
 )
+from agvlink.channel import RHO_LIMIT
 from agvlink.cli import main
 
-from conftest import jacobian_fd_pairs, report_criterion
+from conftest import jacobian_fd_pairs, one_minus_pbb_mp, report_criterion
 
 _POINTS: dict[tuple[float, float], PointResult] = {}
 _TIMES: dict[tuple[float, float], float] = {}
@@ -121,36 +122,34 @@ def _j0_exact_series(x: float) -> float:
 
 
 def test_criterion_05_special_functions():
-    xs = np.linspace(-8.0, 8.0, 10_000)
-    scipy_worst = max(abs(bessel_j0(float(x)) - sp.j0(x)) for x in xs)
-    exact_worst = max(abs(bessel_j0(float(x)) - _j0_exact_series(float(x)))
-                      for x in np.linspace(-8.0, 8.0, 200))
-    j0_ok = scipy_worst < 1e-10 and exact_worst < 1e-12
+    # oracles without scipy: the exact J0 series, and Marcum Q1 by mpmath
+    # quadrature of its density
+    ts = 1e-3
+    j0_worst = 0.0
+    for x in np.linspace(0.0, 8.0, 200, endpoint=False):
+        f_d = float(x) / (2.0 * math.pi * ts)
+        arg = 2.0 * math.pi * f_d * ts     # the argument the model forms
+        ref = min(_j0_exact_series(arg), RHO_LIMIT)
+        j0_worst = max(j0_worst, abs(fading_correlation(f_d, ts) - ref))
+    j0_ok = j0_worst < 1e-12
 
-    def q1_quadrature(a: float, b: float) -> float:
-        def integrand(x: float) -> float:
-            return x * math.exp(-0.5 * (x - a) * (x - a)) * sp.i0e(a * x)
-        val, _ = integrate.quad(integrand, b, a + 45.0, limit=200,
-                                epsabs=1e-12, epsrel=1e-12)
-        return val
+    pbb_worst = 0.0
+    radius = TrackSpec().semi_axis_a
+    ts_grid = DEFAULT_TS_GRID[::3]
+    for ts in ts_grid:
+        for trace_time in DEFAULT_TRACE_GRID:
+            model = build_outage_model(LinkParams(), ts,
+                                       2.0 * math.pi * radius / trace_time)
+            ref = one_minus_pbb_mp(model.gamma_th, model.rho)
+            pbb_worst = max(pbb_worst, abs(1.0 - model.p_bb - ref) / ref)
+    pbb_ok = pbb_worst < 1e-10
 
-    grid = np.linspace(0.0, 5.0, 11)
-    marcum_worst = max(abs(marcum_q1(float(a), float(b))
-                           - q1_quadrature(float(a), float(b)))
-                       for a in grid for b in grid)
-    marcum_ok = marcum_worst < 1e-8
-
-    anchor_worst = max(
-        max(abs(marcum_q1(a, 0.0) - 1.0) for a in (0.0, 0.5, 2.0, 10.0)),
-        max(abs(marcum_q1(0.0, b) - math.exp(-0.5 * b * b))
-            for b in (0.1, 1.0, 3.0)))
-    anchors_ok = anchor_worst < 1e-12
-
-    detail = (f"J0 worst |err| {scipy_worst:.2e} (1e4 pts) / "
-              f"{exact_worst:.2e} (exact series); Marcum worst |err| "
-              f"{marcum_worst:.2e} on [0,5]^2; anchors {anchor_worst:.2e}")
-    report_criterion(5, "special functions",
-                     j0_ok and marcum_ok and anchors_ok, detail)
+    detail = (f"J0 worst |err| {j0_worst:.2e} against the exact series "
+              f"(200 pts in [0, 8), limit 1e-12); 1 - p_bb worst relative "
+              f"err {pbb_worst:.2e} against mpmath over "
+              f"{len(ts_grid)} ts x {len(DEFAULT_TRACE_GRID)} "
+              f"trace times (limit 1e-10)")
+    report_criterion(5, "special functions", j0_ok and pbb_ok, detail)
 
 
 def test_criterion_06_independence_anchor():

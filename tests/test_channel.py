@@ -1,17 +1,19 @@
-"""Channel-model tests: link algebra, special functions, outage chain, samplers.
+"""Channel-model tests: link algebra, fading correlation, outage chain, samplers.
 
-Special functions are checked against scipy oracles (`scipy.special.j0`,
-noncentral-chi-square survival for the Marcum function) and exact closed-form
-anchors; samplers against their analytic marginals at 3-sigma tolerances with
+The back-to-back probability is checked against Marcum Q1 taken from the
+noncentral-chi-square survival function (`scipy.stats.ncx2`) and, at the rho
+clamp, against mpmath quadrature of the Q1 density; J0 against tabulated
+values; samplers against their analytic marginals at 3-sigma tolerances with
 fixed seeds.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import special as sp
 from scipy.stats import ncx2
 
@@ -22,13 +24,11 @@ from agvlink import (
     NumericConsistencyError,
     ParameterError,
     back_to_back_prob,
-    bessel_j0,
     build_outage_model,
     consecutive_outage_log10,
     consecutive_outage_prob,
     doppler_shift,
     fading_correlation,
-    marcum_q1,
     outage_probability,
     phi_variable,
     sample_fading_gains,
@@ -39,7 +39,7 @@ from agvlink import (
 )
 from agvlink.channel import PHI_CONVENTIONS, RHO_LIMIT
 
-from conftest import close, rel_close
+from conftest import close, one_minus_pbb_mp, rel_close
 
 
 def marcum_oracle(a: float, b: float) -> float:
@@ -102,38 +102,6 @@ def test_doppler_shift_scaling():
         doppler_shift(-1.0)
 
 
-# --- Bessel J0 ---------------------------------------------------------------
-
-def test_bessel_j0_anchors():
-    assert bessel_j0(0.0) == 1.0
-    # classic tabulated value J0(1)
-    assert close(bessel_j0(1.0), 0.7651976865579666, 1e-13)
-    # first zero of J0
-    assert abs(bessel_j0(2.404825557695773)) < 1e-13
-    # even function
-    assert bessel_j0(-3.7) == bessel_j0(3.7)
-
-
-def test_bessel_j0_matches_scipy_both_branches():
-    xs = np.concatenate([np.linspace(0.0, 7.999, 400),      # power series
-                         np.linspace(8.0, 120.0, 400),      # Hankel expansion
-                         [7.9999999, 8.0000001, 1e3, 1e5]])
-    worst = max(abs(bessel_j0(float(x)) - sp.j0(x)) for x in xs)
-    assert worst < 5e-14
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
-def test_bessel_j0_bounded(x):
-    assert abs(bessel_j0(x)) <= 1.0 + 1e-12
-
-
-def test_bessel_j0_rejects_nonfinite():
-    for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ParameterError):
-            bessel_j0(bad)
-
-
 # --- fading correlation ------------------------------------------------------
 
 def test_fading_correlation_clamps_at_zero_doppler():
@@ -148,68 +116,21 @@ def test_fading_correlation_tracks_j0():
     ts = 1e-3
     f_one = 1.0 / (2 * math.pi * ts)
     assert fading_correlation(f_one, ts) == pytest.approx(
-        bessel_j0(1.0), rel=1e-15)
+        0.7651976865579666, rel=1e-15)
     f_zero = 2.404825557695773 / (2 * math.pi * ts)
     assert abs(fading_correlation(f_zero, ts)) < 1e-13
     # fast-Doppler region goes negative and is passed through unclamped
     f_neg = math.pi / (2 * math.pi * ts)
     assert fading_correlation(f_neg, ts) == pytest.approx(
-        float(sp.j0(math.pi)), abs=1e-14)
+        -0.3042421776440939, abs=1e-14)
     assert fading_correlation(f_neg, ts) < -0.30
 
 
 def test_fading_correlation_rejects_bad_inputs():
-    with pytest.raises(ParameterError):
-        fading_correlation(-1.0, 1e-3)
-    with pytest.raises(ParameterError):
-        fading_correlation(10.0, 0.0)
-
-
-# --- Marcum Q1 ---------------------------------------------------------------
-
-def test_marcum_q1_exact_anchors():
-    for a in (0.0, 0.3, 1.0, 7.0, 1e3):
-        assert marcum_q1(a, 0.0) == 1.0
-    for b in (0.1, 1.0, 3.0):
-        assert close(marcum_q1(0.0, b), math.exp(-0.5 * b * b), 1e-15)
-
-
-def test_marcum_q1_matches_ncx2_grid():
-    pts = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0]
-    worst = 0.0
-    for a in pts:
-        for b in pts:
-            q = marcum_q1(a, b)
-            ref = marcum_oracle(a, b)
-            worst = max(worst, abs(q - ref) / max(ref, 1.0 - ref, 1e-300))
-    assert worst < 1e-10
-
-
-def test_marcum_q1_large_arguments_and_branch_boundary():
-    # a*b spans the series/quadrature switchover at 1e4 and well beyond
-    cases = [(120.0, 80.0), (100.0, 100.0), (100.0, 100.5), (105.0, 95.0),
-             (200.0, 195.0), (1000.0, 1003.0), (1000.0, 997.0)]
-    for a, b in cases:
-        q = marcum_q1(a, b)
-        ref = marcum_oracle(a, b)
-        assert rel_close(q, ref, 1e-9), (a, b, q, ref)
-
-
-def test_marcum_q1_monotone_and_bounded():
-    bs = np.linspace(0.0, 6.0, 25)
-    qs = [marcum_q1(2.0, float(b)) for b in bs]
-    assert all(0.0 <= q <= 1.0 for q in qs)
-    assert all(x >= y - 1e-15 for x, y in zip(qs, qs[1:]))   # decreasing in b
-    avals = np.linspace(0.0, 6.0, 25)
-    qa = [marcum_q1(float(a), 2.0) for a in avals]
-    assert all(x <= y + 1e-15 for x, y in zip(qa, qa[1:]))   # increasing in a
-
-
-def test_marcum_q1_rejects_negative():
-    with pytest.raises(ParameterError):
-        marcum_q1(-1.0, 1.0)
-    with pytest.raises(ParameterError):
-        marcum_q1(1.0, -1.0)
+    for f_d, ts in ((-1.0, 1e-3), (10.0, 0.0), (math.inf, 1e-3),
+                    (math.nan, 1e-3), (10.0, math.inf), (10.0, math.nan)):
+        with pytest.raises(ParameterError):
+            fading_correlation(f_d, ts)
 
 
 # --- outage chain ------------------------------------------------------------
@@ -253,6 +174,16 @@ def test_back_to_back_limits():
     assert back_to_back_prob(0.7693878389952673, RHO_LIMIT) > 0.999
     # the sign of rho is irrelevant: envelope statistics see rho^2
     assert back_to_back_prob(0.5, -0.4) == back_to_back_prob(0.5, 0.4)
+
+
+def test_back_to_back_matches_mpmath_at_rho_limit():
+    # the clamp at zero Doppler gives phi ~ 3e4: Q1's large-argument regime
+    link = LinkParams()
+    for ts in (1e-3, 4e-3, 8e-3):
+        gamma = snr_threshold(spectral_efficiency(
+            link.payload_bits, link.num_agvs, ts, link.bandwidth_hz), link.avg_snr)
+        ref = one_minus_pbb_mp(gamma, RHO_LIMIT)
+        assert rel_close(1.0 - back_to_back_prob(gamma, RHO_LIMIT), ref, 1e-7), ts
 
 
 def test_back_to_back_monte_carlo_conditional():
@@ -345,6 +276,28 @@ def test_build_outage_model_literal_convention():
     assert model.phi == pytest.approx(
         phi_variable(model.gamma_th, abs(model.rho), "paper_literal"),
         rel=1e-15)
+
+
+def test_outage_model_fields_are_python_floats():
+    # a numpy scalar would reach the CSV writers as "np.float64(...)"
+    for velocity in (0.0, 0.1):
+        model = build_outage_model(LinkParams(), ts=1e-3, velocity=velocity)
+        for name in ("gamma_th", "rho", "phi", "p1", "p_bb"):
+            assert type(getattr(model, name)) is float, (velocity, name)
+
+
+def test_import_leaves_signal_and_stats_unloaded():
+    # both are slow to import and only some commands need them
+    import agvlink
+    src = os.path.dirname(os.path.dirname(os.path.abspath(agvlink.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, agvlink; "
+             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_link_params_validation():

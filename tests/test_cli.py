@@ -228,6 +228,16 @@ def test_channel_zero_velocity(capsys):
     assert rho == pytest.approx(1.0 - 1e-9, rel=1e-12)
 
 
+def test_channel_table_plain_numbers(capsys):
+    # at low speed every cell must be a bare number, never "np.float64(...)"
+    assert main(["channel", "--n-list", "1,2", "--velocity-mps", "0.1"]) == 0
+    out = capsys.readouterr().out
+    assert "np." not in out
+    for line in out.strip().splitlines()[1:]:
+        for cell in line.split(","):
+            float(cell)
+
+
 def test_flag_overrides_config_file(tmp_path, capsys):
     # config says 5 ms slots; the flag forces 1 ms and must win (R = 3.12)
     path = write(tmp_path, "[sim]\nts_ms = 5\n")

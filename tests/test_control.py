@@ -17,7 +17,6 @@ from agvlink import (
     TrackSpec,
     build_reference_track,
     control_law,
-    delayed_input,
     plant_step,
     simulate_closed_loop,
     tracking_error,
@@ -157,7 +156,7 @@ def test_buffer_lag_zero_returns_latest():
     buf = InputBuffer(depth=4)
     u1 = ControlInput(1.0, 0.0)
     buf.push(u1)
-    assert delayed_input(buf, 0) is u1
+    assert buf.at_lag(0) is u1
 
 
 def test_buffer_ring_indexing():
@@ -165,9 +164,9 @@ def test_buffer_ring_indexing():
     us = [ControlInput(float(i), 0.0) for i in (1, 2, 3)]
     for u in us:
         buf.push(u)
-    assert delayed_input(buf, 2) is us[0]
-    assert delayed_input(buf, 1) is us[1]
-    assert delayed_input(buf, 0) is us[2]
+    assert buf.at_lag(2) is us[0]
+    assert buf.at_lag(1) is us[1]
+    assert buf.at_lag(0) is us[2]
 
 
 def test_buffer_underflow():
@@ -175,7 +174,7 @@ def test_buffer_underflow():
     for i in range(3):
         buf.push(ControlInput(float(i), 0.0))
     with pytest.raises(BufferUnderflowError):
-        delayed_input(buf, 4)
+        buf.at_lag(4)
 
 
 def test_buffer_lag_beyond_depth_rejected():
@@ -183,14 +182,14 @@ def test_buffer_lag_beyond_depth_rejected():
     for i in range(3):
         buf.push(ControlInput(float(i), 0.0))
     with pytest.raises(ParameterError):
-        delayed_input(buf, 3)
+        buf.at_lag(3)
 
 
 def test_buffer_evicts_beyond_depth():
     buf = InputBuffer(depth=2)
     for i in range(10):
         buf.push(ControlInput(float(i), 0.0))
-    assert delayed_input(buf, 2).nu == 7.0
+    assert buf.at_lag(2).nu == 7.0
 
 
 # --- reference tracks ------------------------------------------------------------
