@@ -76,11 +76,9 @@ from .stability import (
     CandidateScan,
     StabilityReport,
     evaluate_candidate,
-    input_jacobian,
     outage_tolerance,
     simulate_burst_stability,
     simulate_delay_stability,
-    split_jacobians,
     write_stability_csv,
 )
 
@@ -92,10 +90,9 @@ __all__ = [
     "build_reference_track", "tracking_error", "control_law", "plant_step",
     "simulate_closed_loop", "wrap_angle", "write_trajectory_csv",
     # stability
-    "CandidateScan", "StabilityReport", "split_jacobians", "input_jacobian",
-    "evaluate_candidate", "outage_tolerance",
-    "simulate_delay_stability", "simulate_burst_stability",
-    "write_stability_csv",
+    "CandidateScan", "StabilityReport", "evaluate_candidate",
+    "outage_tolerance", "simulate_delay_stability",
+    "simulate_burst_stability", "write_stability_csv",
     # channel
     "LinkParams", "OutageModel", "spectral_efficiency", "snr_threshold",
     "outage_probability", "doppler_shift", "fading_correlation",

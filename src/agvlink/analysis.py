@@ -67,6 +67,8 @@ class ScenarioConfig:
             raise ParameterError("trace_time must be at least one sampling period")
         if not 0.0 <= self.margin < 1.0:
             raise ParameterError("margin must lie in [0, 1)")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -248,7 +248,7 @@ def load_config(path: str | None) -> CliConfig:
         phi_convention=_choice_key(sim_sec, "sim", "phi_convention",
                                    "zorzi_sqrt", PHI_CONVENTIONS),
         margin=_float_key(sim_sec, "sim", "margin", 0.0, nonnegative=True),
-        seed=_int_key(sim_sec, "sim", "seed", 12345))
+        seed=_int_key(sim_sec, "sim", "seed", 12345, minimum=0))
 
     sweep_sec = sections["sweep"]
     return CliConfig(
@@ -494,9 +494,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     steps = args.steps if args.steps is not None else track.n_steps
     if steps < 1:
         raise ConfigError("--steps must be >= 1")
-    if args.sample_outages and args.burst_len is not None:
-        raise ConfigError("--sample-outages and --burst-len are mutually "
-                          "exclusive")
+    if args.sample_outages and (args.burst_len is not None
+                                or args.burst_start is not None):
+        raise ConfigError("--sample-outages excludes --burst-len and "
+                          "--burst-start")
     if args.sample_outages:
         model = build_outage_model(scenario.link, scenario.ts,
                                    track.max_speed, scenario.phi_convention)

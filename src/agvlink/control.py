@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -249,7 +249,6 @@ class Trajectory:
     nu_applied: np.ndarray
     omega_applied: np.ndarray
     outage: np.ndarray
-    final_pose: Pose = field(repr=False, default=None)  # type: ignore[assignment]
 
     def __len__(self) -> int:
         return len(self.x_c)
@@ -337,8 +336,7 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
 
     return Trajectory(ts=ts, x_c=out_xc, y_c=out_yc, theta_c=out_thc,
                       x_e=out_xe, y_e=out_ye, theta_e=out_the,
-                      nu_applied=out_nu, omega_applied=out_om, outage=out_flag,
-                      final_pose=Pose(x, y, th))
+                      nu_applied=out_nu, omega_applied=out_om, outage=out_flag)
 
 
 TRAJECTORY_COLUMNS = ["k", "t", "x_r", "y_r", "theta_r", "x_c", "y_c", "theta_c",

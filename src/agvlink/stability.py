@@ -1,22 +1,26 @@
 """Stability of the delayed tracking loop.
 
 A command that reaches the vehicle n samples late closes the loop through the
-pose n samples ago. Linearized about the zero-error trajectory, one step is
+pose n samples ago. Let x be the vehicle's pose minus the reference pose,
+rotated into the reference's heading (to first order, minus the tracking
+error (x_e, y_e, theta_e)), and let the reference move at speed nu while its
+heading turns by delta per step. Linearized about the zero-error trajectory,
+one step is
 
-    x[k+1] = A_cur x[k] + A_stale x[k-n],
+    x[k+1] = M0 x[k] + U c[k-n],      c[k-n] = V x[k-n],
 
-with A_cur the plant's Jacobian in the current pose and A_stale = ts B F the
-input Jacobian times the feedback Jacobian in the stale pose; A_stale has rank
-2, one column per command component. Rotated into the vehicle's error frame,
+where c is the command's deviation (nu, omega) computed n samples ago and,
+with P(a) the rotation by a about the vertical axis,
 
-    M0 = P(-theta[k+1]) A_cur P(theta[k]),
-    Mn = P(-theta[k+1]) A_stale P(theta[k-n]),
+    M0 = P(-delta) [[1, 0, 0], [0, 1, ts nu], [0, 0, 1]],
+    U  = ts P(-delta)[:, (0, 2)],
+    V  = [[-k_x, 0, 0], [0, -k_y nu, -k_theta nu]].
 
-the two matrices depend only on the reference speed and the turn per step. On
-a circle they are the same at every step, the delayed loop is linear and
-time-invariant, and lag n is stable exactly when every root of
+These depend only on nu, delta, ts and the gains. On a circle they are the
+same at every step, the delayed loop is linear and time-invariant, and lag n
+is stable exactly when every root of
 
-    det(z^(n+1) I - z^n M0 - Mn)
+    det(z^(n+1) I - z^n M0 - Mn),      Mn = U V,
 
 has modulus below 1 - margin. Because Mn has rank 2 this is a polynomial of
 degree 2n + 3, and its roots on or outside a circle are counted by the
@@ -25,7 +29,8 @@ length. That count is the one stability test: `evaluate_candidate` and
 `outage_tolerance`'s search both decide with it, and the spectral radius they
 report is bracketed by the same count. (The roots are also the eigenvalues of
 a (3 + 2n)-dimensional companion matrix that carries the two command
-components through the delay line; the tests check the count against them.)
+components through the delay line; the tests check the count against them,
+and M0 and Mn against finite differences of the nonlinear step.)
 
 An ellipse is tested in frozen time: the loop above is formed at the
 operating points of FROZEN_POINTS track samples spaced evenly in speed from
@@ -59,39 +64,8 @@ FROZEN_POINTS = 5
 _REFINE_LEVELS = 16
 
 
-def input_jacobian(theta_k: float) -> np.ndarray:
-    """Jacobian of the plant step w.r.t. the applied command (per unit ts)."""
-    return np.array([[math.cos(theta_k), 0.0],
-                     [math.sin(theta_k), 0.0],
-                     [0.0, 1.0]])
-
-
-def _feedback_jacobian(theta_kn: float, nu_kn: float, g: Gains) -> np.ndarray:
-    """Jacobian of the command (nu, omega) w.r.t. the pose it was computed from."""
-    c, s = math.cos(theta_kn), math.sin(theta_kn)
-    return np.array([[-g.k_x * c, -g.k_x * s, 0.0],
-                     [g.k_y * nu_kn * s, -g.k_y * nu_kn * c, -g.k_theta * nu_kn]])
-
-
-def split_jacobians(theta_k: float, theta_kn: float, nu_kn: float, ts: float,
-                    g: Gains) -> tuple[np.ndarray, np.ndarray]:
-    """(A_cur, A_stale): the closed-loop step's Jacobians at zero error.
-
-    A_cur acts on the current pose (heading theta_k), A_stale on the pose the
-    applied command was computed from (heading theta_kn, reference speed
-    nu_kn), so a command n samples old gives x[k+1] = A_cur x[k] + A_stale x[k-n].
-    """
-    if ts <= 0.0:
-        raise ParameterError("sampling period ts must be positive")
-    a_cur = np.eye(3)
-    a_cur[0, 2] = -ts * math.sin(theta_k) * nu_kn
-    a_cur[1, 2] = ts * math.cos(theta_k) * nu_kn
-    a_stale = ts * input_jacobian(theta_k) @ _feedback_jacobian(theta_kn, nu_kn, g)
-    return a_cur, a_stale
-
-
-def _char_coeffs(a: np.ndarray) -> tuple[float, float, float]:
-    """Coefficients (tr, m2, det) of lam^3 - tr lam^2 + m2 lam - det."""
+def _char_poly(a: np.ndarray) -> np.ndarray:
+    """Coefficients of det(s I - a), highest power first."""
     tr = a[0, 0] + a[1, 1] + a[2, 2]
     m2 = ((a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
           + (a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0])
@@ -99,13 +73,7 @@ def _char_coeffs(a: np.ndarray) -> tuple[float, float, float]:
     det = (a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
-    return float(tr), float(m2), float(det)
-
-
-def _rotation(theta: float) -> np.ndarray:
-    """P(theta): vehicle-frame pose difference to world frame."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return np.array([1.0, -tr, m2, -det])
 
 
 @dataclass(frozen=True)
@@ -113,7 +81,6 @@ class _OperatingPoint:
     """Error-frame delayed loop at one track step: M0 and Mn = u @ v."""
 
     step: int
-    speed: float
     m0: np.ndarray   # 3x3
     u: np.ndarray    # 3x2, the command's effect on the next error
     v: np.ndarray    # 2x3, the command's dependence on the stale error
@@ -200,22 +167,23 @@ class _OperatingPoint:
         return 1
 
 
-def _char_poly(a: np.ndarray) -> np.ndarray:
-    """Coefficients of det(s I - a), highest power first."""
-    tr, m2, det = _char_coeffs(a)
-    return np.array([1.0, -tr, m2, -det])
+def _error_frame_loop(nu: float, delta: float, ts: float,
+                      g: Gains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M0, U, V) at reference speed nu with the heading turning delta per step."""
+    c, s = math.cos(delta), math.sin(delta)
+    back = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])   # P(-delta)
+    shear = np.eye(3)
+    shear[1, 2] = ts * nu
+    v = np.array([[-g.k_x, 0.0, 0.0], [0.0, -g.k_y * nu, -g.k_theta * nu]])
+    return back @ shear, ts * back[:, (0, 2)], v
 
 
 def _operating_point(track: ReferenceTrack, g: Gains, k: int) -> _OperatingPoint:
     """The error-frame delayed loop frozen at track step k."""
-    th0, th1 = float(track.thetas[k]), float(track.thetas[k + 1])
     nu = float(track.nus[k])
-    a_cur, _ = split_jacobians(th0, th0, nu, track.ts, g)
-    back = _rotation(-th1)
-    return _OperatingPoint(
-        step=k, speed=nu, m0=back @ a_cur @ _rotation(th0),
-        u=track.ts * back @ input_jacobian(th0),
-        v=_feedback_jacobian(th0, nu, g) @ _rotation(th0))
+    delta = float(track.thetas[k + 1] - track.thetas[k])
+    m0, u, v = _error_frame_loop(nu, delta, track.ts, g)
+    return _OperatingPoint(step=k, m0=m0, u=u, v=v)
 
 
 def _operating_points(track: ReferenceTrack, g: Gains) -> list[_OperatingPoint]:
@@ -247,19 +215,15 @@ class CandidateScan:
 class StabilityReport:
     """Outcome of the outage-tolerance search.
 
-    per_step_spectral_radius holds, for each step from scan_start_step
-    (= n_max) on, the spectral radius at lag n_max of the operating point
-    nearest in speed (a circle has one value). history lists the candidates
-    scanned as `evaluate_candidate` scans them: lag 0, n_max and n_max + 1.
+    history lists the candidates scanned as `evaluate_candidate` scans them,
+    with their spectral radii: lag 0, n_max and n_max + 1.
     """
 
     n_max: int
-    per_step_spectral_radius: np.ndarray
     first_violation_step: int | None
     ts: float
     trace_time: float
     margin: float = 0.0
-    scan_start_step: int = 0
     capped: bool = False
     history: tuple[CandidateScan, ...] = field(default_factory=tuple)
 
@@ -269,12 +233,11 @@ def _check_margin(margin: float) -> None:
         raise ParameterError("stability margin must lie in [0, 1)")
 
 
-def _scan(points: list[_OperatingPoint], n: int,
-          margin: float) -> tuple[CandidateScan, np.ndarray]:
-    radii = np.array([p.spectral_radius(n, 1.0 - margin) for p in points])
+def _scan(points: list[_OperatingPoint], n: int, margin: float) -> CandidateScan:
+    radii = [p.spectral_radius(n, 1.0 - margin) for p in points]
     worst = int(np.argmax(radii))
-    return (CandidateScan(n, bool(radii[worst] < 1.0 - margin),
-                          float(radii[worst]), points[worst].step), radii)
+    return CandidateScan(n, bool(radii[worst] < 1.0 - margin),
+                         float(radii[worst]), points[worst].step)
 
 
 def evaluate_candidate(track: ReferenceTrack, g: Gains, n: int,
@@ -284,7 +247,7 @@ def evaluate_candidate(track: ReferenceTrack, g: Gains, n: int,
     if not 0 <= n <= track.n_steps - 1:
         raise ParameterError(
             f"candidate lag must lie in [0, {track.n_steps - 1}], got {n}")
-    return _scan(_operating_points(track, g), n, margin)[0]
+    return _scan(_operating_points(track, g), n, margin)
 
 
 def outage_tolerance(track: ReferenceTrack, g: Gains,
@@ -303,29 +266,21 @@ def outage_tolerance(track: ReferenceTrack, g: Gains,
     points = _operating_points(track, g)
     history: list[CandidateScan] = []
 
-    def record(n: int) -> tuple[CandidateScan, np.ndarray]:
-        scan, radii = _scan(points, n, margin)
-        history.append(scan)
-        return scan, radii
+    def record(n: int) -> CandidateScan:
+        history.append(_scan(points, n, margin))
+        return history[-1]
 
-    def report(n_max: int, radii: np.ndarray, **extra) -> StabilityReport:
-        if len(points) == 1:
-            per_step = np.full(track.n_steps - n_max, radii[0])
-        else:
-            speeds = np.array([p.speed for p in points])
-            nearest = np.abs(track.nus[n_max:-1, None] - speeds).argmin(axis=1)
-            per_step = radii[nearest]
-        return StabilityReport(n_max=n_max, per_step_spectral_radius=per_step,
-                               ts=track.ts, trace_time=track.trace_time,
-                               margin=margin, scan_start_step=n_max,
+    def report(n_max: int, **extra) -> StabilityReport:
+        return StabilityReport(n_max=n_max, ts=track.ts,
+                               trace_time=track.trace_time, margin=margin,
                                history=tuple(history), **extra)
 
-    first, radii0 = record(0)
+    first = record(0)
     if not first.stable:
-        return report(0, radii0, first_violation_step=first.argmax_k)
+        return report(0, first_violation_step=first.argmax_k)
     cap = track.n_steps - 1
     if cap == 0:
-        return report(0, radii0, first_violation_step=None, capped=True)
+        return report(0, first_violation_step=None, capped=True)
 
     limit = 1.0 - margin
 
@@ -345,11 +300,12 @@ def outage_tolerance(track: ReferenceTrack, g: Gains,
         else:
             hi = mid
 
-    radii = radii0 if lo == 0 else record(lo)[1]
+    if lo > 0:
+        record(lo)
     if lo == cap:
-        return report(cap, radii, first_violation_step=None, capped=True)
+        return report(cap, first_violation_step=None, capped=True)
     record(lo + 1)
-    return report(lo, radii, first_violation_step=None)
+    return report(lo, first_violation_step=None)
 
 
 def simulate_delay_stability(track: ReferenceTrack, g: Gains, n: int) -> bool:
@@ -383,27 +339,26 @@ def simulate_delay_stability(track: ReferenceTrack, g: Gains, n: int) -> bool:
     return float(np.ptp(err[-window:])) < float(np.ptp(err[n:n + window]))
 
 
-def simulate_burst_stability(track: ReferenceTrack, g: Gains, n: int,
-                             divergence_threshold: float | None = None) -> bool:
+def simulate_burst_stability(track: ReferenceTrack, g: Gains, n: int) -> bool:
     """Nonlinear check: survive forced bursts of n consecutive losses.
 
     The loop settles for eight slow-mode time constants, then suffers bursts
     of exactly n outages spaced by a recovery window (9n samples, capped at
     twelve time constants plus a safety pad to bound runtime on huge n).
-    Stable means the position error never exceeds divergence_threshold and
-    drops back to max(1.5x the pre-burst level, 1e-4 m) inside each window.
+    Stable means the position error stays below a fifth of the larger
+    semi-axis and drops back to max(1.5x the pre-burst level, 1e-4 m) inside
+    each window.
     """
     if n < 0:
         raise ParameterError("burst length must be nonnegative")
-    if divergence_threshold is None:
-        divergence_threshold = 0.2 * max(track.spec.semi_axis_a, track.spec.axis_b)
+    diverged = 0.2 * max(track.spec.semi_axis_a, track.spec.axis_b)
     ts = track.ts
     tau = 2.0 / (g.k_theta * track.max_speed)
     settle = int(math.ceil(8.0 * tau / ts)) + 10
     if n == 0:
         sched = np.zeros(settle + int(math.ceil(4.0 * tau / ts)), dtype=bool)
         err = simulate_closed_loop(track, g, sched).position_error()
-        return bool(np.max(err) < divergence_threshold
+        return bool(np.max(err) < diverged
                     and err[-1] < max(1.5 * float(np.min(err[settle:])), 1e-4))
 
     recovery = min(9 * n, int(math.ceil(12.0 * tau / ts)) + 2000)
@@ -415,7 +370,7 @@ def simulate_burst_stability(track: ReferenceTrack, g: Gains, n: int,
         sched[start:start + n] = True
     err = simulate_closed_loop(track, g, sched).position_error()
 
-    if float(np.max(err)) >= divergence_threshold:
+    if float(np.max(err)) >= diverged:
         return False
     window = min(settle, int(math.ceil(tau / ts)) + 10)
     pre_level = float(np.max(err[settle - window:settle]))

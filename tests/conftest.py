@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from agvlink import (
+    ControlInput,
     Gains,
     Pose,
+    TrackError,
     TrackSpec,
     build_reference_track,
     control_law,
     plant_step,
-    split_jacobians,
     tracking_error,
 )
 
@@ -88,33 +89,40 @@ def one_minus_pbb_mp(gamma_th: float, rho: float) -> float:
         return float(numerator / mpmath.expm1(gamma_th))
 
 
-def _perturbed_step(d_cur, d_stale, th_k, th_kn, nu_r, om_r, ts, g):
-    """One nonlinear step with the current and the stale pose perturbed apart."""
-    xr_k = np.array([0.37, -0.81, th_k])
-    xr_kn = np.array([-0.11, 0.52, th_kn])
-    err = tracking_error(Pose(*xr_kn), Pose(*(xr_kn + d_stale)))
-    u = control_law(err, nu_r, om_r, g)
-    nxt = plant_step(Pose(*(xr_k + d_cur)), u, ts)
-    return np.array([nxt.x, nxt.y, nxt.theta])
+def _error_step(e_cur, e_stale, ref, ref_next, nu, omega, ts, g):
+    """One nonlinear step in error coordinates: the vehicle sits at error
+    e_cur from the reference pose ref and applies the command computed from
+    the stale error e_stale; the next error is taken against ref_next."""
+    th_c = ref.theta - e_cur[2]
+    c, s = math.cos(th_c), math.sin(th_c)
+    veh = Pose(ref.x - (c * e_cur[0] - s * e_cur[1]),
+               ref.y - (s * e_cur[0] + c * e_cur[1]), th_c)
+    u = control_law(TrackError(*e_stale), nu, omega, g)
+    err = tracking_error(ref_next, plant_step(veh, u, ts))
+    return np.array([err.x_e, err.y_e, err.theta_e])
 
 
 def jacobian_fd_pairs(rng, samples, g, h=1e-7):
-    """Yield, per random point, (Jacobian, central finite difference) for the
-    lag-0 Jacobian, A_cur and A_stale: both poses, the current pose alone and
-    the stale pose alone perturbed."""
+    """Yield, per random point, (matrix, central finite difference) for
+    M0 + U V, M0 and U V: the current and the stale error perturbed together,
+    the current error alone and the stale error alone. The reference moves
+    under its nominal command, so zero error is an exact trajectory."""
+    from agvlink.stability import _error_frame_loop
     zero = np.zeros(3)
     for _ in range(samples):
-        th_k, th_kn = rng.uniform(-math.pi, math.pi, 2)
+        theta = rng.uniform(-math.pi, math.pi)
         nu = rng.uniform(0.1, 5.0)
         om = rng.uniform(-1.0, 1.0)
         ts = rng.uniform(1e-4, 1e-2)
-        args = (th_k, th_kn, nu, om, ts, g)
-        a_cur, a_stale = split_jacobians(th_k, th_kn, nu, ts, g)
+        ref = Pose(0.37, -0.81, theta)
+        ref_next = plant_step(ref, ControlInput(nu, om), ts)
+        args = (ref, ref_next, nu, om, ts, g)
+        m0, u, v = _error_frame_loop(nu, ref_next.theta - ref.theta, ts, g)
         fds = np.zeros((3, 3, 3))
         for j in range(3):
             d = np.zeros(3)
             d[j] = h
             for i, (d_cur, d_stale) in enumerate(((d, d), (d, zero), (zero, d))):
-                fds[i][:, j] = (_perturbed_step(d_cur, d_stale, *args)
-                                - _perturbed_step(-d_cur, -d_stale, *args)) / (2.0 * h)
-        yield ((a_cur + a_stale, fds[0]), (a_cur, fds[1]), (a_stale, fds[2]))
+                fds[i][:, j] = (_error_step(d_cur, d_stale, *args)
+                                - _error_step(-d_cur, -d_stale, *args)) / (2.0 * h)
+        yield ((m0 + u @ v, fds[0]), (m0, fds[1]), (u @ v, fds[2]))

@@ -184,15 +184,17 @@ def test_criterion_07_monte_carlo_vs_analytic():
 
 
 def test_criterion_08_jacobian_correctness():
+    # the error-frame matrices the stability search uses, against central
+    # differences of the nonlinear step in error coordinates
     g = Gains()
-    worst = np.zeros(3)   # lag-0 Jacobian, A_cur, A_stale
+    worst = np.zeros(3)   # M0 + U V, M0, U V
     for pairs in jacobian_fd_pairs(np.random.default_rng(2024), 1000, g):
         worst = np.maximum(worst, [
             float(np.max(np.abs(fd - a)) / max(1.0, np.max(np.abs(a))))
             for a, fd in pairs])
     detail = (f"worst relative deviation over 1000 points (limit 1e-6): "
-              f"lag-0 {worst[0]:.2e}, A_cur {worst[1]:.2e}, "
-              f"A_stale {worst[2]:.2e}")
+              f"M0 + U V {worst[0]:.2e}, M0 {worst[1]:.2e}, "
+              f"U V {worst[2]:.2e}")
     report_criterion(8, "jacobian correctness", float(worst.max()) < 1e-6,
                      detail)
 

@@ -63,6 +63,8 @@ def test_scenario_config_defaults_and_validation():
         ScenarioConfig(margin=-0.1)
     with pytest.raises(ParameterError):   # nothing lies below 1 - margin <= 0
         ScenarioConfig(margin=1.0)
+    with pytest.raises(ParameterError):   # PCG64 takes no negative seed
+        ScenarioConfig(seed=-1)
 
 
 def test_default_grids():

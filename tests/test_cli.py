@@ -124,6 +124,8 @@ def test_parse_config_rejects_bad_values(tmp_path):
         parse_config(write(tmp_path, "[sim]\ntrace_time_s = fast\n"))
     with pytest.raises(ConfigError, match="must be an integer"):
         parse_config(write(tmp_path, "[sim]\nseed = 1.5\n"))
+    with pytest.raises(ConfigError, match=r"sim\.seed must be >= 0"):
+        parse_config(write(tmp_path, "[sim]\nseed = -5\n"))
     with pytest.raises(ConfigError, match="must be one of"):
         parse_config(write(tmp_path, "[track]\nshape = square\n"))
     with pytest.raises(ConfigError, match="must be one of"):
@@ -175,6 +177,7 @@ def test_main_bad_flag_values_exit_2(capsys):
     assert main(["nmax", "--ts-ms", "-1", "--trace-time-s", "2"]) == 2
     assert main(["nmax", "--margin", "-0.5", "--trace-time-s", "2"]) == 2
     assert main(["montecarlo", "--runs", "0", "--trace-time-s", "2"]) == 2
+    assert main(["montecarlo", "--seed", "-1", "--trace-time-s", "2"]) == 2
     capsys.readouterr()
 
 
@@ -303,6 +306,7 @@ def test_simulate_flag_validation(capsys):
     base = ["simulate", "--trace-time-s", "2", "--steps", "50"]
     assert main(base + ["--burst-start", "3"]) == 2
     assert main(base + ["--burst-len", "2", "--sample-outages"]) == 2
+    assert main(base + ["--burst-start", "5", "--sample-outages"]) == 2
     assert main(base + ["--burst-len", "0"]) == 2
     assert main(base + ["--burst-len", "2", "--burst-start", "99"]) == 2
     capsys.readouterr()

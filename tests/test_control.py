@@ -270,6 +270,8 @@ def test_track_invalid_parameters():
     with pytest.raises(ParameterError):
         build_reference_track(TrackSpec(), 500.0, 0.0)
     with pytest.raises(ParameterError):
+        build_reference_track(TrackSpec(), 500.0, -1e-3)
+    with pytest.raises(ParameterError):
         build_reference_track(TrackSpec(), 1e-4, 1e-3)   # trace_time < ts
     with pytest.raises(ParameterError):
         TrackSpec(semi_axis_a=-1.0)

@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from agvlink import (
     Gains,
@@ -15,29 +13,26 @@ from agvlink import (
     TrackSpec,
     build_reference_track,
     evaluate_candidate,
-    input_jacobian,
     outage_tolerance,
     simulate_burst_stability,
     simulate_delay_stability,
-    split_jacobians,
     write_stability_csv,
 )
+from agvlink.stability import _error_frame_loop
 
 from conftest import jacobian_fd_pairs
 
-angle = st.floats(-math.pi, math.pi)
 
+# --- error-frame matrices -----------------------------------------------------
 
-# --- state Jacobian -----------------------------------------------------------
-
-def _lag0_jacobian(*args):
-    """The lag-0 state Jacobian: current and stale pose moved together."""
-    a_cur, a_stale = split_jacobians(*args)
-    return a_cur + a_stale
+def _lag0_matrix(nu, delta, ts, g):
+    """M0 + U V: the loop closed through the current error."""
+    m0, u, v = _error_frame_loop(nu, delta, ts, g)
+    return m0 + u @ v
 
 
 def test_state_jacobian_printed_example():
-    a = _lag0_jacobian(0.0, 0.0, 4.4, 1e-3, Gains())
+    a = _lag0_matrix(4.4, 0.0, 1e-3, Gains())
     expected = np.array([[0.99, 0.0, 0.0],
                          [0.0, 1.0, 0.0044],
                          [0.0, -2.816e-5, 0.999296]])
@@ -45,41 +40,16 @@ def test_state_jacobian_printed_example():
 
 
 def test_state_jacobian_identity_limit():
-    a = _lag0_jacobian(0.7, -0.3, 4.4, 1e-12, Gains())
+    a = _lag0_matrix(4.4, 0.3e-12, 1e-12, Gains())
     assert np.allclose(a, np.eye(3), atol=1e-10)
 
 
-def test_state_jacobian_requires_positive_ts():
-    with pytest.raises(ParameterError):
-        split_jacobians(0.0, 0.0, 1.0, 0.0, Gains())
-
-
 def test_state_jacobian_matches_finite_differences():
-    # the lag-0 Jacobian, A_cur and A_stale, each against its own perturbation
+    # M0 + U V, M0 and U V, each against its own perturbation
     worst = 0.0
     for pairs in jacobian_fd_pairs(np.random.default_rng(7), 100, Gains()):
         worst = max(worst, max(float(np.max(np.abs(fd - a))) for a, fd in pairs))
     assert worst < 1e-6
-
-
-def test_split_jacobians_require_positive_ts():
-    with pytest.raises(ParameterError):
-        split_jacobians(0.0, 0.0, 1.0, -1e-3, Gains())
-
-
-# --- input Jacobian -----------------------------------------------------------
-
-def test_input_jacobian_examples():
-    assert np.allclose(input_jacobian(0.0), [[1, 0], [0, 0], [0, 1]])
-    assert np.allclose(input_jacobian(math.pi / 2.0),
-                       [[0, 0], [1, 0], [0, 1]], atol=1e-15)
-
-
-@given(angle)
-def test_input_jacobian_unit_columns(theta):
-    b = input_jacobian(theta)
-    assert math.isclose(np.linalg.norm(b[:, 0]), 1.0, rel_tol=1e-12)
-    assert math.isclose(np.linalg.norm(b[:, 1]), 1.0, rel_tol=1e-12)
 
 
 def _companion(point, n):
@@ -103,18 +73,12 @@ ROOT_CASES = [(TrackSpec(), 20.0, 1e-3), (TrackSpec(), 500.0, 4e-3),
 
 
 def test_operating_point_is_error_frame_jacobian(gains):
-    # M0 and Mn = u @ v are the split Jacobians rotated into the vehicle frame
-    from agvlink.stability import _operating_points, _rotation
+    # lag 0 closes the loop through M0 + U V
+    from agvlink.stability import _operating_points
     track = build_reference_track(TrackSpec(), 20.0, 1e-3)
     point, = _operating_points(track, gains)
-    th0, th1 = track.thetas[0], track.thetas[1]
-    a_cur, a_stale = split_jacobians(th0, th0, track.nus[0], track.ts, gains)
-    back, fwd = _rotation(-th1), _rotation(th0)
-    assert np.allclose(point.m0, back @ a_cur @ fwd, rtol=0.0, atol=1e-15)
-    assert np.allclose(point.u @ point.v, back @ a_stale @ fwd, rtol=0.0,
-                       atol=1e-15)
-    # lag 0 closes the loop through the lag-0 Jacobian
-    lag0 = back @ (a_cur + a_stale) @ fwd
+    lag0 = _lag0_matrix(track.nus[0], track.thetas[1] - track.thetas[0],
+                        track.ts, gains)
     assert math.isclose(point.spectral_radius(0, 1.0),
                         float(np.max(np.abs(np.linalg.eigvals(lag0)))),
                         rel_tol=1e-9)
@@ -165,10 +129,11 @@ def test_outage_tolerance_boundary_consistency(search_track, gains):
 
 
 def test_outage_tolerance_radii_cover_scan_range(search_track, gains):
+    # the recorded scans cover lag 0 up to the first unstable lag
     report = outage_tolerance(search_track, gains)
-    assert len(report.per_step_spectral_radius) == \
-        search_track.n_steps - report.n_max
-    assert float(np.max(report.per_step_spectral_radius)) < 1.0
+    assert [s.n for s in report.history] == [0, report.n_max, report.n_max + 1]
+    assert [s.stable for s in report.history] == [True, True, False]
+    assert max(s.worst_spectral_radius for s in report.history[:2]) < 1.0
     assert report.first_violation_step is None
     assert report.margin == 0.0
     assert report.ts == search_track.ts
@@ -277,11 +242,11 @@ def test_burst_oracle_basic(gains):
 
 
 def test_burst_oracle_detects_divergence(gains):
-    # force failure via an absurd threshold rather than a truly unstable
-    # loop: anything the run exceeds must flip the verdict
-    track = build_reference_track(TrackSpec(), 20.0, 1e-2)
-    assert not simulate_burst_stability(track, gains, 25,
-                                        divergence_threshold=1e-9)
+    # on the fast 350 x 200 m ellipse a burst of 800 losses (3.2 s of a
+    # held command) carries the vehicle past the 70 m divergence limit
+    track = build_reference_track(
+        TrackSpec(shape="ellipse", semi_axis_b=200.0), 20.0, 4e-3)
+    assert not simulate_burst_stability(track, gains, 800)
 
 
 def test_stability_csv(tmp_path, search_track, gains):
