@@ -44,12 +44,25 @@ def test_state_jacobian_identity_limit():
     assert np.allclose(a, np.eye(3), atol=1e-10)
 
 
+def test_state_jacobian_requires_positive_ts():
+    # the search builds its matrices from a track, and no track has ts = 0
+    with pytest.raises(ParameterError):
+        outage_tolerance(build_reference_track(TrackSpec(), 20.0, 0.0), Gains())
+
+
 def test_state_jacobian_matches_finite_differences():
     # M0 + U V, M0 and U V, each against its own perturbation
     worst = 0.0
     for pairs in jacobian_fd_pairs(np.random.default_rng(7), 100, Gains()):
         worst = max(worst, max(float(np.max(np.abs(fd - a))) for a, fd in pairs))
     assert worst < 1e-6
+
+
+def test_split_jacobians_require_positive_ts():
+    # likewise for a single lag candidate at a negative period
+    with pytest.raises(ParameterError):
+        evaluate_candidate(build_reference_track(TrackSpec(), 20.0, -1e-3),
+                           Gains(), 0)
 
 
 def _companion(point, n):
