@@ -237,12 +237,15 @@ def sample_fading_gains(rho: float, length: int, seed: int,
         raise ParameterError("length must be at least 1")
     z = _polar_normals(_generator(seed, stream), 2 * length)
     cplx = (z[0::2] + 1j * z[1::2]) * math.sqrt(0.5)
-    h = cplx[0].item()
-    gains = [h]
-    for innovation in (math.sqrt(1.0 - rho * rho) * cplx[1:]).tolist():
-        h = rho * h + innovation
-        gains.append(h)
-    return np.array(gains)
+    h0 = cplx[0]
+    if length == 1:
+        return cplx[:1]
+    from scipy.signal import lfilter   # deferred: it dominates `import agvlink`
+
+    innovation_gain = math.sqrt(1.0 - rho * rho)
+    tail, _ = lfilter([innovation_gain], [1.0, -rho], cplx[1:],
+                      zi=np.array([rho * h0]))
+    return np.concatenate(([h0], tail))
 
 
 def sample_outage_sequence(rho: float, gamma_th: float, length: int, seed: int,
