@@ -1,8 +1,8 @@
 """Stability and outage analysis of a cloud-controlled AGV on a fading link.
 
 The package splits along the system boundary: `control` holds the unicycle
-tracking loop (reference tracks, error transform, control law, plant, the
-zero-order-hold input buffer, and the closed-loop simulator), `stability`
+tracking loop (reference tracks, and the error transform, control law and
+plant step that the closed-loop simulator calls), `stability`
 linearizes that loop with every command n samples old and searches for the
 largest lag at which it stays stable, `channel` models the correlated
 Rayleigh downlink (per-slot and back-to-back outage probabilities, with J0
@@ -51,12 +51,8 @@ from .channel import (
     spectral_efficiency,
 )
 from .control import (
-    ControlInput,
     Gains,
-    InputBuffer,
-    Pose,
     ReferenceTrack,
-    TrackError,
     TrackSpec,
     Trajectory,
     build_reference_track,
@@ -68,7 +64,6 @@ from .control import (
     write_trajectory_csv,
 )
 from .exceptions import (
-    BufferUnderflowError,
     NumericConsistencyError,
     ParameterError,
 )
@@ -85,8 +80,7 @@ from .stability import (
 __all__ = [
     "__version__",
     # control
-    "Pose", "TrackError", "ControlInput", "Gains", "TrackSpec",
-    "ReferenceTrack", "InputBuffer", "Trajectory",
+    "Gains", "TrackSpec", "ReferenceTrack", "Trajectory",
     "build_reference_track", "tracking_error", "control_law", "plant_step",
     "simulate_closed_loop", "wrap_angle", "write_trajectory_csv",
     # stability
@@ -108,5 +102,5 @@ __all__ = [
     "longest_outage_run", "wilson_interval", "write_sweep_csv",
     "write_montecarlo_csv", "DEFAULT_TS_GRID", "DEFAULT_TRACE_GRID",
     # errors
-    "ParameterError", "BufferUnderflowError", "NumericConsistencyError",
+    "ParameterError", "NumericConsistencyError",
 ]

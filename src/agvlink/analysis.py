@@ -61,10 +61,11 @@ class ScenarioConfig:
     seed: int = 12345
 
     def __post_init__(self) -> None:
-        if self.ts <= 0.0:
-            raise ParameterError("ts must be positive")
-        if self.trace_time < self.ts:
-            raise ParameterError("trace_time must be at least one sampling period")
+        if not 0.0 < self.ts < math.inf:
+            raise ParameterError("ts must be positive and finite")
+        if not self.ts <= self.trace_time < math.inf:
+            raise ParameterError("trace_time must be finite and at least one "
+                                 "sampling period")
         if not 0.0 <= self.margin < 1.0:
             raise ParameterError("margin must lie in [0, 1)")
         if self.seed < 0:
@@ -166,8 +167,8 @@ def _checked_grid(grid, name: str) -> tuple[float, ...]:
     values = tuple(float(v) for v in grid)
     if not values:
         raise ParameterError(f"{name} grid must be non-empty")
-    if any(v <= 0.0 for v in values):
-        raise ParameterError(f"{name} grid values must be positive")
+    if not all(0.0 < v < math.inf for v in values):
+        raise ParameterError(f"{name} grid values must be positive and finite")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ParameterError(f"{name} grid must be strictly ascending")
     return values
@@ -285,22 +286,16 @@ MONTECARLO_COLUMNS = ["run_id", "seed", "max_burst_len", "unstable_flag",
                       "max_tracking_error_m"]
 
 
-def _flatten_config(prefix: str, value) -> list[tuple[str, str]]:
-    if hasattr(value, "__dataclass_fields__"):
-        out: list[tuple[str, str]] = []
-        for name, sub in asdict(value).items():
-            out.extend(_flatten_config(f"{prefix}.{name}" if prefix else name,
-                                       sub))
-        return out
-    if isinstance(value, dict):
-        out = []
-        for name, sub in value.items():
-            out.extend(_flatten_config(f"{prefix}.{name}" if prefix else name,
-                                       sub))
-        return out
-    if isinstance(value, float):
-        return [(prefix, repr(value))]
-    return [(prefix, str(value))]
+def _flatten_config(value: dict, prefix: str = "") -> list[tuple[str, str]]:
+    """(dotted key, text) for each leaf of a nested dict such as asdict(cfg)."""
+    out: list[tuple[str, str]] = []
+    for name, sub in value.items():
+        if isinstance(sub, dict):
+            out += _flatten_config(sub, f"{prefix}{name}.")
+        else:
+            out.append((prefix + name,
+                        repr(sub) if isinstance(sub, float) else str(sub)))
+    return out
 
 
 def metadata_lines(cfg: ScenarioConfig, extra: dict | None = None) -> list[str]:
@@ -312,7 +307,7 @@ def metadata_lines(cfg: ScenarioConfig, extra: dict | None = None) -> list[str]:
              f"# prng = {PRNG_ID}",
              f"# phi_convention = {cfg.phi_convention}"]
     lines += [f"# config.{key} = {val}"
-              for key, val in _flatten_config("", cfg)]
+              for key, val in _flatten_config(asdict(cfg))]
     if extra:
         lines += [f"# {key} = {val}" for key, val in extra.items()]
     return lines

@@ -385,14 +385,17 @@ def _scenario_from_args(args: argparse.Namespace) -> tuple[ScenarioConfig,
     scenario = cli_cfg.scenario
     overrides = {}
     if getattr(args, "ts_ms", None) is not None:
-        if args.ts_ms <= 0:
-            raise ConfigError("--ts-ms must be > 0")
+        if not 0.0 < args.ts_ms < math.inf:
+            raise ConfigError(f"--ts-ms must be > 0 and finite, got {args.ts_ms}")
         overrides["ts"] = args.ts_ms * 1e-3
     if getattr(args, "trace_time_s", None) is not None:
-        if args.trace_time_s <= 0:
-            raise ConfigError("--trace-time-s must be > 0")
+        if not 0.0 < args.trace_time_s < math.inf:
+            raise ConfigError("--trace-time-s must be > 0 and finite, "
+                              f"got {args.trace_time_s}")
         overrides["trace_time"] = args.trace_time_s
     if getattr(args, "snr_db", None) is not None:
+        if not math.isfinite(args.snr_db):
+            raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
         overrides["link"] = replace(scenario.link,
                                     avg_snr=10.0 ** (args.snr_db / 10.0))
     if getattr(args, "seed", None) is not None:

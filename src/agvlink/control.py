@@ -12,7 +12,9 @@ and sends back the velocity command
     nu    = nu_r cos(theta_e) + k_x x_e
     omega = omega_r + nu_r (k_y y_e + k_theta sin(theta_e))
 
-which the vehicle integrates with a forward-Euler step of period ts. Commands
+which the vehicle integrates with a forward-Euler step of period ts.
+`tracking_error`, `control_law` and `plant_step` are these three equations on
+plain floats, and the closed-loop simulator steps by calling them. Commands
 travel over a lossy downlink: on a lost packet the vehicle keeps applying the
 last delivered command (zero-order hold). The simulator can also deliver
 every command a fixed number of samples late. The uplink is ideal, so the
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import csv_sink
-from .exceptions import BufferUnderflowError, ParameterError
+from .exceptions import ParameterError
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,32 +42,6 @@ def wrap_angle(angle: float) -> float:
     if wrapped <= -math.pi:
         wrapped += TWO_PI
     return wrapped
-
-
-@dataclass(frozen=True)
-class Pose:
-    """Planar pose; heading is stored accumulated (not wrapped)."""
-
-    x: float
-    y: float
-    theta: float
-
-
-@dataclass(frozen=True)
-class TrackError:
-    """Tracking error rotated into the vehicle frame."""
-
-    x_e: float
-    y_e: float
-    theta_e: float
-
-
-@dataclass(frozen=True)
-class ControlInput:
-    """Translational and rotational velocity command."""
-
-    nu: float
-    omega: float
 
 
 @dataclass(frozen=True)
@@ -130,12 +106,6 @@ class ReferenceTrack:
     def n_steps(self) -> int:
         return len(self.xs) - 1
 
-    def pose(self, k: int) -> Pose:
-        return Pose(float(self.xs[k]), float(self.ys[k]), float(self.thetas[k]))
-
-    def sample(self, k: int) -> tuple[Pose, float, float]:
-        return self.pose(k), float(self.nus[k]), float(self.omegas[k])
-
     @property
     def max_speed(self) -> float:
         return float(np.max(self.nus))
@@ -153,10 +123,11 @@ def build_reference_track(spec: TrackSpec, trace_time: float, ts: float) -> Refe
     heading up to one accumulated turn). Reference velocities come from the
     analytic derivatives of the parametrization.
     """
-    if ts <= 0.0:
-        raise ParameterError("sampling period ts must be positive")
-    if trace_time < ts:
-        raise ParameterError("trace_time must be at least one sampling period")
+    if not 0.0 < ts < math.inf:
+        raise ParameterError("sampling period ts must be positive and finite")
+    if not ts <= trace_time < math.inf:
+        raise ParameterError("trace_time must be finite and at least one "
+                             "sampling period")
     n_steps = math.ceil(trace_time / ts)
     sign = 1.0 if spec.direction == "ccw" else -1.0
     a, b = spec.semi_axis_a, spec.axis_b
@@ -179,60 +150,36 @@ def build_reference_track(spec: TrackSpec, trace_time: float, ts: float) -> Refe
                           ts=float(ts), trace_time=float(trace_time), spec=spec)
 
 
-def tracking_error(x_r: Pose, x_c: Pose) -> TrackError:
-    """Rotate the pose difference into the vehicle frame of x_c."""
-    c, s = math.cos(x_c.theta), math.sin(x_c.theta)
-    dx, dy = x_r.x - x_c.x, x_r.y - x_c.y
-    return TrackError(c * dx + s * dy, -s * dx + c * dy, x_r.theta - x_c.theta)
+def tracking_error(x_r: float, y_r: float, theta_r: float,
+                   x: float, y: float, theta: float) -> tuple[float, float, float]:
+    """(x_e, y_e, theta_e): the reference pose minus the vehicle pose, rotated
+    into the vehicle frame; theta_e is left unwrapped."""
+    c, s = math.cos(theta), math.sin(theta)
+    dx, dy = x_r - x, y_r - y
+    return c * dx + s * dy, -s * dx + c * dy, theta_r - theta
 
 
-def control_law(err: TrackError, nu_r: float, omega_r: float, g: Gains) -> ControlInput:
-    """Tracking feedback; reduces to (nu_r, omega_r) at zero error.
+def control_law(x_e: float, y_e: float, theta_e: float, nu_r: float,
+                omega_r: float, g: Gains) -> tuple[float, float]:
+    """Tracking feedback (nu, omega); reduces to (nu_r, omega_r) at zero error.
 
     theta_e is wrapped into (-pi, pi] first: the law is derived for small
     errors and accumulated headings would otherwise feed spurious full turns
     into the trig terms on long runs.
     """
-    th = wrap_angle(err.theta_e)
-    nu = nu_r * math.cos(th) + g.k_x * err.x_e
-    omega = omega_r + nu_r * (g.k_y * err.y_e + g.k_theta * math.sin(th))
-    return ControlInput(nu, omega)
+    th = wrap_angle(theta_e)
+    return (nu_r * math.cos(th) + g.k_x * x_e,
+            omega_r + nu_r * (g.k_y * y_e + g.k_theta * math.sin(th)))
 
 
-def plant_step(x_c: Pose, u: ControlInput, ts: float) -> Pose:
+def plant_step(x: float, y: float, theta: float, nu: float, omega: float,
+               ts: float) -> tuple[float, float, float]:
     """One forward-Euler step of the unicycle difference equation."""
     if ts <= 0.0:
         raise ParameterError("sampling period ts must be positive")
-    return Pose(x_c.x + ts * math.cos(x_c.theta) * u.nu,
-                x_c.y + ts * math.sin(x_c.theta) * u.nu,
-                x_c.theta + ts * u.omega)
-
-
-class InputBuffer:
-    """Ring of delivered commands supporting exact lag-n lookback."""
-
-    def __init__(self, depth: int):
-        if depth < 0:
-            raise ParameterError("buffer depth must be nonnegative")
-        self.depth = depth
-        self._ring: list[ControlInput] = []
-
-    def push(self, u: ControlInput) -> None:
-        self._ring.append(u)
-        if len(self._ring) > self.depth + 1:
-            del self._ring[0]
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def at_lag(self, lag_n: int) -> ControlInput:
-        """Return the command recorded lag_n pushes ago (lag 0 = latest)."""
-        if lag_n < 0 or lag_n > self.depth:
-            raise ParameterError(f"lag {lag_n} outside buffer depth {self.depth}")
-        if lag_n >= len(self._ring):
-            raise BufferUnderflowError(
-                f"lag {lag_n} requested with only {len(self._ring)} inputs recorded")
-        return self._ring[-1 - lag_n]
+    return (x + ts * math.cos(theta) * nu,
+            y + ts * math.sin(theta) * nu,
+            theta + ts * omega)
 
 
 @dataclass(frozen=True)
@@ -269,13 +216,15 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
     wrap around the closed track with the heading continued across laps.
 
     With delay = n > 0 every command reaches the vehicle n samples after it
-    was computed, as `InputBuffer.at_lag(n)` returns it (the buffer is the
-    tests' reference for this loop): the command applied at step k was
-    computed from the state at step k - n, and outage_schedule[k] refers to
-    the packet arriving at step k (the first arrival, at step n, is always
-    delivered). No command has arrived during the first n steps, so the
-    vehicle waits at the start with zero velocity and the run begins about
-    nu_r * n * ts behind the reference.
+    was computed: the command applied at step k was computed from the state
+    at step k - n, and outage_schedule[k] refers to the packet arriving at
+    step k (the first arrival, at step n, is always delivered). No command
+    has arrived during the first n steps, so the vehicle waits at the start
+    with zero velocity and the run begins about nu_r * n * ts behind the
+    reference.
+
+    Each step is `tracking_error`, `control_law` and `plant_step`; the loop
+    adds only the hold register and the commands in flight.
     """
     schedule = np.asarray(outage_schedule, dtype=bool)
     steps = len(schedule)
@@ -298,41 +247,29 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
     out_nu = np.empty(steps); out_om = np.empty(steps)
     out_flag = np.zeros(steps, dtype=bool)
 
-    kx, ky, kth = g.k_x, g.k_y, g.k_theta
-    cos, sin = math.cos, math.sin
     x = xs(0); y = ys(0); th = thetas(0)
-    hold_nu = 0.0; hold_om = 0.0
+    hold = (0.0, 0.0)
     # commands in flight: slot k % delay holds the one computed at step k - delay
-    sent_nu = [0.0] * delay; sent_om = [0.0] * delay
+    sent = [hold] * delay
 
     for k in range(steps):
         r = k % n_steps
-        lap = k // n_steps
-        xr = xs(r); yr = ys(r); thr = thetas(r) + lap * lap_turn
-        c = cos(th); s = sin(th)
-        dx = xr - x; dy = yr - y
-        xe = c * dx + s * dy
-        ye = -s * dx + c * dy
-        the = thr - th
+        xe, ye, the = tracking_error(xs(r), ys(r),
+                                     thetas(r) + k // n_steps * lap_turn,
+                                     x, y, th)
         if delay or k == 0 or not lost(k):
-            thw = wrap_angle(the)
-            nur = nus(r)
-            cmd_nu = nur * cos(thw) + kx * xe
-            cmd_om = omegas(r) + nur * (ky * ye + kth * sin(thw))
+            cmd = control_law(xe, ye, the, nus(r), omegas(r), g)
         if delay:   # send this step's command, take the one arriving now
             slot = k % delay
-            cmd_nu, sent_nu[slot] = sent_nu[slot], cmd_nu
-            cmd_om, sent_om[slot] = sent_om[slot], cmd_om
+            cmd, sent[slot] = sent[slot], cmd
         if k == delay or (k > delay and not lost(k)):
-            hold_nu = cmd_nu; hold_om = cmd_om
+            hold = cmd
         elif k > delay:
             out_flag[k] = True
         out_xc[k] = x; out_yc[k] = y; out_thc[k] = th
         out_xe[k] = xe; out_ye[k] = ye; out_the[k] = the
-        out_nu[k] = hold_nu; out_om[k] = hold_om
-        x += ts * c * hold_nu
-        y += ts * s * hold_nu
-        th += ts * hold_om
+        out_nu[k], out_om[k] = hold
+        x, y, th = plant_step(x, y, th, *hold, ts)
 
     return Trajectory(ts=ts, x_c=out_xc, y_c=out_yc, theta_c=out_thc,
                       x_e=out_xe, y_e=out_ye, theta_e=out_the,

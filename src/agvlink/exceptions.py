@@ -5,9 +5,5 @@ class ParameterError(ValueError):
     """A physical or configuration parameter is outside its valid range."""
 
 
-class BufferUnderflowError(LookupError):
-    """A delayed-input lookup reaches past the recorded history."""
-
-
 class NumericConsistencyError(ArithmeticError):
     """An internal numeric invariant failed (e.g. probability out of range)."""

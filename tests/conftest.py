@@ -7,10 +7,7 @@ import numpy as np
 import pytest
 
 from agvlink import (
-    ControlInput,
     Gains,
-    Pose,
-    TrackError,
     TrackSpec,
     build_reference_track,
     control_law,
@@ -91,15 +88,15 @@ def one_minus_pbb_mp(gamma_th: float, rho: float) -> float:
 
 def _error_step(e_cur, e_stale, ref, ref_next, nu, omega, ts, g):
     """One nonlinear step in error coordinates: the vehicle sits at error
-    e_cur from the reference pose ref and applies the command computed from
-    the stale error e_stale; the next error is taken against ref_next."""
-    th_c = ref.theta - e_cur[2]
+    e_cur from the reference pose ref = (x, y, theta) and applies the command
+    computed from the stale error e_stale; the next error is taken against
+    ref_next. It runs the simulator's own kernel functions."""
+    th_c = ref[2] - e_cur[2]
     c, s = math.cos(th_c), math.sin(th_c)
-    veh = Pose(ref.x - (c * e_cur[0] - s * e_cur[1]),
-               ref.y - (s * e_cur[0] + c * e_cur[1]), th_c)
-    u = control_law(TrackError(*e_stale), nu, omega, g)
-    err = tracking_error(ref_next, plant_step(veh, u, ts))
-    return np.array([err.x_e, err.y_e, err.theta_e])
+    veh = (ref[0] - (c * e_cur[0] - s * e_cur[1]),
+           ref[1] - (s * e_cur[0] + c * e_cur[1]), th_c)
+    u = control_law(*e_stale, nu, omega, g)
+    return np.array(tracking_error(*ref_next, *plant_step(*veh, *u, ts)))
 
 
 def jacobian_fd_pairs(rng, samples, g, h=1e-7):
@@ -114,10 +111,10 @@ def jacobian_fd_pairs(rng, samples, g, h=1e-7):
         nu = rng.uniform(0.1, 5.0)
         om = rng.uniform(-1.0, 1.0)
         ts = rng.uniform(1e-4, 1e-2)
-        ref = Pose(0.37, -0.81, theta)
-        ref_next = plant_step(ref, ControlInput(nu, om), ts)
+        ref = (0.37, -0.81, theta)
+        ref_next = plant_step(*ref, nu, om, ts)
         args = (ref, ref_next, nu, om, ts, g)
-        m0, u, v = _error_frame_loop(nu, ref_next.theta - ref.theta, ts, g)
+        m0, u, v = _error_frame_loop(nu, ref_next[2] - ref[2], ts, g)
         fds = np.zeros((3, 3, 3))
         for j in range(3):
             d = np.zeros(3)

@@ -59,6 +59,10 @@ def test_scenario_config_defaults_and_validation():
         ScenarioConfig(ts=0.0)
     with pytest.raises(ParameterError):
         ScenarioConfig(ts=2e-3, trace_time=1e-3)
+    for bad in (dict(ts=math.nan), dict(ts=math.inf),
+                dict(trace_time=math.nan), dict(trace_time=math.inf)):
+        with pytest.raises(ParameterError):
+            ScenarioConfig(**bad)
     with pytest.raises(ParameterError):
         ScenarioConfig(margin=-0.1)
     with pytest.raises(ParameterError):   # nothing lies below 1 - margin <= 0
@@ -165,6 +169,10 @@ def test_sweep_grid_validation(short_cfg):
         sweep_trace_time(short_cfg, (0.0, 1.0))
     with pytest.raises(ParameterError):
         sweep_trace_time(short_cfg, (1.0, 1.0))
+    with pytest.raises(ParameterError):
+        sweep_sampling_time(short_cfg, (1e-3, math.nan))
+    with pytest.raises(ParameterError):
+        sweep_trace_time(short_cfg, (2.0, math.inf))
 
 
 # --- longest run -------------------------------------------------------------

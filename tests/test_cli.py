@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+import agvlink
 from agvlink import (
     DEFAULT_TRACE_GRID,
     DEFAULT_TS_GRID,
@@ -164,6 +165,12 @@ def test_main_version(capsys):
     assert "agvlink" in capsys.readouterr().out
 
 
+def test_package_all_names_unique_and_resolvable():
+    assert len(set(agvlink.__all__)) == len(agvlink.__all__)
+    for name in agvlink.__all__:
+        assert hasattr(agvlink, name), name
+
+
 def test_main_config_error_is_exit_2(tmp_path, capsys):
     path = write(tmp_path, "[link]\nwat = 1\n")
     assert main(["nmax", "--config", path]) == 2
@@ -179,6 +186,20 @@ def test_main_bad_flag_values_exit_2(capsys):
     assert main(["montecarlo", "--runs", "0", "--trace-time-s", "2"]) == 2
     assert main(["montecarlo", "--seed", "-1", "--trace-time-s", "2"]) == 2
     capsys.readouterr()
+    # non-finite periods, lap times and SNRs are refused by name
+    for flag, args in (("--ts-ms", ["nmax", "--ts-ms", "nan"]),
+                       ("--ts-ms", ["nmax", "--ts-ms", "inf"]),
+                       ("--trace-time-s", ["nmax", "--trace-time-s", "nan"]),
+                       ("--trace-time-s", ["nmax", "--trace-time-s", "inf"]),
+                       ("--snr-db", ["nmax", "--snr-db", "nan",
+                                     "--trace-time-s", "2"]),
+                       ("--snr-db", ["channel", "--snr-db", "inf"])):
+        assert main(args) == 2, args
+        assert flag in capsys.readouterr().err, args
+    # a non-finite grid entry is refused before any point is evaluated
+    assert main(["sweep-ts", "--grid-ms", "1,nan", "--trace-time-s", "2"]) == 2
+    assert main(["sweep-trace", "--grid-s", "2,inf"]) == 2
+    assert "grid values must be positive and finite" in capsys.readouterr().err
 
 
 def test_main_internal_failure_is_exit_3(monkeypatch, capsys):

@@ -8,12 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agvlink import (
-    BufferUnderflowError,
-    ControlInput,
     Gains,
-    InputBuffer,
     ParameterError,
-    Pose,
     TrackSpec,
     build_reference_track,
     control_law,
@@ -46,65 +42,58 @@ def test_wrap_angle_preserves_direction(a):
 # --- tracking error ----------------------------------------------------------
 
 def test_tracking_error_identity():
-    p = Pose(3.0, -4.0, 1.2)
-    e = tracking_error(p, p)
-    assert (e.x_e, e.y_e, e.theta_e) == (0.0, 0.0, 0.0)
+    p = (3.0, -4.0, 1.2)
+    assert tracking_error(*p, *p) == (0.0, 0.0, 0.0)
 
 
 def test_tracking_error_axis_aligned():
-    e = tracking_error(Pose(1.0, 0.0, 0.0), Pose(0.0, 0.0, 0.0))
-    assert math.isclose(e.x_e, 1.0, abs_tol=1e-15)
-    assert math.isclose(e.y_e, 0.0, abs_tol=1e-15)
-    assert e.theta_e == 0.0
+    x_e, y_e, theta_e = tracking_error(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert math.isclose(x_e, 1.0, abs_tol=1e-15)
+    assert math.isclose(y_e, 0.0, abs_tol=1e-15)
+    assert theta_e == 0.0
 
 
 def test_tracking_error_quarter_turn():
     # displacement (1, 0) seen from a vehicle heading +90 degrees
-    e = tracking_error(Pose(1.0, 0.0, 0.0), Pose(0.0, 0.0, math.pi / 2.0))
-    assert math.isclose(e.x_e, 0.0, abs_tol=1e-15)
-    assert math.isclose(e.y_e, -1.0, abs_tol=1e-15)
-    assert math.isclose(e.theta_e, -math.pi / 2.0)
+    x_e, y_e, theta_e = tracking_error(1.0, 0.0, 0.0, 0.0, 0.0, math.pi / 2.0)
+    assert math.isclose(x_e, 0.0, abs_tol=1e-15)
+    assert math.isclose(y_e, -1.0, abs_tol=1e-15)
+    assert math.isclose(theta_e, -math.pi / 2.0)
 
 
 @given(small_coord, small_coord, small_coord, small_coord, finite_angle,
        finite_angle)
 def test_tracking_error_rotation_preserves_norm(xr, yr, xc, yc, thr, thc):
-    e = tracking_error(Pose(xr, yr, thr), Pose(xc, yc, thc))
-    assert math.isclose(math.hypot(e.x_e, e.y_e), math.hypot(xr - xc, yr - yc),
+    x_e, y_e, _ = tracking_error(xr, yr, thr, xc, yc, thc)
+    assert math.isclose(math.hypot(x_e, y_e), math.hypot(xr - xc, yr - yc),
                         rel_tol=1e-12, abs_tol=1e-12)
 
 
 # --- control law --------------------------------------------------------------
 
 def test_control_law_zero_error_passthrough():
-    from agvlink import TrackError
-    u = control_law(TrackError(0.0, 0.0, 0.0), 4.4, 0.0126, Gains())
-    assert u.nu == 4.4 and u.omega == 0.0126
+    assert control_law(0.0, 0.0, 0.0, 4.4, 0.0126, Gains()) == (4.4, 0.0126)
 
 
 def test_control_law_longitudinal_term():
-    from agvlink import TrackError
-    u = control_law(TrackError(1.0, 0.0, 0.0), 2.0, 0.0, Gains())
-    assert math.isclose(u.nu, 12.0, rel_tol=1e-15)
-    assert u.omega == 0.0
+    nu, omega = control_law(1.0, 0.0, 0.0, 2.0, 0.0, Gains())
+    assert math.isclose(nu, 12.0, rel_tol=1e-15)
+    assert omega == 0.0
 
 
 def test_control_law_lateral_heading_terms():
-    from agvlink import TrackError
-    u = control_law(TrackError(0.0, 1.0, math.pi / 6.0), 4.4, 0.0126, Gains())
+    nu, omega = control_law(0.0, 1.0, math.pi / 6.0, 4.4, 0.0126, Gains())
     expected = 0.0126 + 4.4 * (0.0064 + 0.16 * 0.5)
-    assert math.isclose(u.omega, expected, rel_tol=1e-12)
-    assert math.isclose(u.nu, 4.4 * math.cos(math.pi / 6.0), rel_tol=1e-15)
+    assert math.isclose(omega, expected, rel_tol=1e-12)
+    assert math.isclose(nu, 4.4 * math.cos(math.pi / 6.0), rel_tol=1e-15)
 
 
 def test_control_law_wraps_heading_error():
-    from agvlink import TrackError
     # 2*pi-offset heading errors must command identically
-    u1 = control_law(TrackError(0.0, 0.0, 0.1), 4.4, 0.0, Gains())
-    u2 = control_law(TrackError(0.0, 0.0, 0.1 + 2.0 * math.pi), 4.4, 0.0,
-                     Gains())
-    assert math.isclose(u1.nu, u2.nu, rel_tol=1e-12)
-    assert math.isclose(u1.omega, u2.omega, rel_tol=1e-12)
+    u1 = control_law(0.0, 0.0, 0.1, 4.4, 0.0, Gains())
+    u2 = control_law(0.0, 0.0, 0.1 + 2.0 * math.pi, 4.4, 0.0, Gains())
+    assert math.isclose(u1[0], u2[0], rel_tol=1e-12)
+    assert math.isclose(u1[1], u2[1], rel_tol=1e-12)
 
 
 def test_gains_must_be_positive():
@@ -116,80 +105,36 @@ def test_gains_must_be_positive():
 # --- plant step ----------------------------------------------------------------
 
 def test_plant_step_zero_input():
-    p = Pose(1.0, 2.0, 0.5)
-    q = plant_step(p, ControlInput(0.0, 0.0), 0.1)
-    assert (q.x, q.y, q.theta) == (1.0, 2.0, 0.5)
+    assert plant_step(1.0, 2.0, 0.5, 0.0, 0.0, 0.1) == (1.0, 2.0, 0.5)
 
 
 def test_plant_step_axis_aligned():
-    q = plant_step(Pose(0.0, 0.0, 0.0), ControlInput(1.0, 0.0), 0.1)
-    assert math.isclose(q.x, 0.1) and q.y == 0.0 and q.theta == 0.0
+    x, y, theta = plant_step(0.0, 0.0, 0.0, 1.0, 0.0, 0.1)
+    assert math.isclose(x, 0.1) and y == 0.0 and theta == 0.0
 
 
 def test_plant_step_substitution():
-    q = plant_step(Pose(1.0, 1.0, math.pi / 2.0), ControlInput(2.0, 1.0), 0.01)
-    assert math.isclose(q.x, 1.0, abs_tol=1e-15)
-    assert math.isclose(q.y, 1.02, rel_tol=1e-14)
-    assert math.isclose(q.theta, math.pi / 2.0 + 0.01, rel_tol=1e-14)
+    x, y, theta = plant_step(1.0, 1.0, math.pi / 2.0, 2.0, 1.0, 0.01)
+    assert math.isclose(x, 1.0, abs_tol=1e-15)
+    assert math.isclose(y, 1.02, rel_tol=1e-14)
+    assert math.isclose(theta, math.pi / 2.0 + 0.01, rel_tol=1e-14)
 
 
 def test_plant_step_requires_positive_ts():
     with pytest.raises(ParameterError):
-        plant_step(Pose(0, 0, 0), ControlInput(1.0, 0.0), 0.0)
+        plant_step(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
 
 @given(st.integers(1, 200), st.floats(0.01, 10.0), st.floats(1e-4, 0.1),
        finite_angle)
 def test_plant_step_straight_line_accumulates_exactly(n, nu, ts, theta):
     # constant heading: N steps advance exactly N*ts*nu along the heading
-    p = Pose(0.0, 0.0, theta)
+    x, y, th = 0.0, 0.0, theta
     for _ in range(n):
-        p = plant_step(p, ControlInput(nu, 0.0), ts)
-    along = p.x * math.cos(theta) + p.y * math.sin(theta)
+        x, y, th = plant_step(x, y, th, nu, 0.0, ts)
+    along = x * math.cos(theta) + y * math.sin(theta)
     assert math.isclose(along, n * ts * nu, rel_tol=1e-9)
-    assert p.theta == theta
-
-
-# --- input buffer ---------------------------------------------------------------
-
-def test_buffer_lag_zero_returns_latest():
-    buf = InputBuffer(depth=4)
-    u1 = ControlInput(1.0, 0.0)
-    buf.push(u1)
-    assert buf.at_lag(0) is u1
-
-
-def test_buffer_ring_indexing():
-    buf = InputBuffer(depth=4)
-    us = [ControlInput(float(i), 0.0) for i in (1, 2, 3)]
-    for u in us:
-        buf.push(u)
-    assert buf.at_lag(2) is us[0]
-    assert buf.at_lag(1) is us[1]
-    assert buf.at_lag(0) is us[2]
-
-
-def test_buffer_underflow():
-    buf = InputBuffer(depth=6)
-    for i in range(3):
-        buf.push(ControlInput(float(i), 0.0))
-    with pytest.raises(BufferUnderflowError):
-        buf.at_lag(4)
-
-
-def test_buffer_lag_beyond_depth_rejected():
-    buf = InputBuffer(depth=2)
-    for i in range(3):
-        buf.push(ControlInput(float(i), 0.0))
-    with pytest.raises(ParameterError):
-        buf.at_lag(3)
-
-
-def test_buffer_evicts_beyond_depth():
-    buf = InputBuffer(depth=2)
-    for i in range(10):
-        buf.push(ControlInput(float(i), 0.0))
-    assert buf.at_lag(2).nu == 7.0
+    assert th == theta
 
 
 # --- reference tracks ------------------------------------------------------------
@@ -211,10 +156,9 @@ def test_track_circle_constant_speed_and_rate():
 
 def test_track_start_pose_matches_tangent():
     tr = build_reference_track(TrackSpec(), 500.0, 1e-3)
-    p = tr.pose(0)
-    assert math.isclose(p.x, -350.0, abs_tol=1e-9)
-    assert math.isclose(p.y, 0.0, abs_tol=1e-9)
-    assert math.isclose(math.remainder(p.theta - (-math.pi / 2.0),
+    assert math.isclose(tr.xs[0], -350.0, abs_tol=1e-9)
+    assert math.isclose(tr.ys[0], 0.0, abs_tol=1e-9)
+    assert math.isclose(math.remainder(tr.thetas[0] - (-math.pi / 2.0),
                                        2.0 * math.pi), 0.0, abs_tol=1e-12)
 
 
@@ -229,10 +173,10 @@ def test_track_closure():
                     (TrackSpec(shape="ellipse", semi_axis_a=350.0,
                                semi_axis_b=150.0), 125.0)):
         tr = build_reference_track(spec, T, 1e-2)
-        p0, pn = tr.pose(0), tr.pose(tr.n_steps)
         circumference = 2.0 * math.pi * spec.semi_axis_a
-        assert math.hypot(pn.x - p0.x, pn.y - p0.y) < 1e-6 * circumference
-        assert math.isclose(math.remainder(pn.theta - p0.theta,
+        assert math.hypot(tr.xs[-1] - tr.xs[0],
+                          tr.ys[-1] - tr.ys[0]) < 1e-6 * circumference
+        assert math.isclose(math.remainder(tr.heading_per_lap(),
                                            2.0 * math.pi), 0.0, abs_tol=1e-9)
 
 
@@ -267,12 +211,14 @@ def test_track_ellipse_turn_rate_matches_heading_derivative():
 
 
 def test_track_invalid_parameters():
-    with pytest.raises(ParameterError):
-        build_reference_track(TrackSpec(), 500.0, 0.0)
-    with pytest.raises(ParameterError):
-        build_reference_track(TrackSpec(), 500.0, -1e-3)
-    with pytest.raises(ParameterError):
-        build_reference_track(TrackSpec(), 1e-4, 1e-3)   # trace_time < ts
+    # every consumer of a track (the tolerance search, a single lag
+    # candidate, the simulator) reaches these refusals first
+    for trace_time, ts in ((500.0, 0.0), (500.0, -1e-3),
+                           (1e-4, 1e-3),                 # trace_time < ts
+                           (500.0, math.nan), (500.0, math.inf),
+                           (math.nan, 1e-3), (math.inf, 1e-3)):
+        with pytest.raises(ParameterError):
+            build_reference_track(TrackSpec(), trace_time, ts)
     with pytest.raises(ParameterError):
         TrackSpec(semi_axis_a=-1.0)
     with pytest.raises(ParameterError):
@@ -298,12 +244,12 @@ def test_all_outages_hold_first_input(tiny_track, gains):
     assert np.all(traj.nu_applied == traj.nu_applied[0])
     assert np.all(traj.omega_applied == traj.omega_applied[0])
     # oracle: iterate the plant directly under the frozen command
-    p = tiny_track.pose(0)
-    u = ControlInput(float(traj.nu_applied[0]), float(traj.omega_applied[0]))
+    p = (tiny_track.xs[0], tiny_track.ys[0], tiny_track.thetas[0])
+    u = (float(traj.nu_applied[0]), float(traj.omega_applied[0]))
     for k in range(1, 200):
-        p = plant_step(p, u, tiny_track.ts)
-        assert math.isclose(p.x, traj.x_c[k], abs_tol=1e-9)
-        assert math.isclose(p.y, traj.y_c[k], abs_tol=1e-9)
+        p = plant_step(*p, *u, tiny_track.ts)
+        assert math.isclose(p[0], traj.x_c[k], abs_tol=1e-9)
+        assert math.isclose(p[1], traj.y_c[k], abs_tol=1e-9)
 
 
 def test_outage_flags_recorded_after_first_sample(tiny_track, gains):
@@ -328,22 +274,25 @@ def test_isolated_outage_forgotten(small_track, gains):
 
 
 def test_delayed_run_applies_lagged_commands(tiny_track, gains):
-    # oracle: an InputBuffer fed with each step's fresh command; the applied
-    # command is the one at lag n, zero while the buffer is still short
+    # oracle: a list of each step's fresh command; the applied command is
+    # the one at index k - n, zero until the first one arrives
     n = 7
     sched = np.zeros(60, dtype=bool)
     sched[20:23] = True     # packets arriving at steps 20..22 are lost
     traj = simulate_closed_loop(tiny_track, gains, sched, delay=n)
-    buf = InputBuffer(n)
-    held = ControlInput(0.0, 0.0)
+    fresh = []
+    held = (0.0, 0.0)
     for k in range(60):
-        ref, nu_r, om_r = tiny_track.sample(k)
-        err = tracking_error(ref, Pose(traj.x_c[k], traj.y_c[k], traj.theta_c[k]))
-        buf.push(control_law(err, nu_r, om_r, gains))
+        err = tracking_error(tiny_track.xs[k], tiny_track.ys[k],
+                             tiny_track.thetas[k], traj.x_c[k], traj.y_c[k],
+                             traj.theta_c[k])
+        fresh.append(control_law(*err, tiny_track.nus[k], tiny_track.omegas[k],
+                                 gains))
         if k >= n and not sched[k]:
-            held = buf.at_lag(n)
-        assert math.isclose(traj.nu_applied[k], held.nu, rel_tol=1e-12, abs_tol=1e-12)
-        assert math.isclose(traj.omega_applied[k], held.omega, rel_tol=1e-12,
+            held = fresh[k - n]
+        assert math.isclose(traj.nu_applied[k], held[0], rel_tol=1e-12,
+                            abs_tol=1e-12)
+        assert math.isclose(traj.omega_applied[k], held[1], rel_tol=1e-12,
                             abs_tol=1e-12)
     assert np.array_equal(np.flatnonzero(traj.outage), [20, 21, 22])
     # waiting for the first command leaves the vehicle at the start
