@@ -127,6 +127,13 @@ def _float_key(section: dict, sec: str, key: str, default: float, *,
     return value
 
 
+def _snr_from_db(snr_db: float, name: str) -> float:
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large, got {snr_db} dB") from None
+
+
 def _int_key(section: dict, sec: str, key: str, default: int, *,
              minimum: int | None = None) -> int:
     raw = section.get(key)
@@ -195,7 +202,8 @@ def load_config(path: str | None) -> CliConfig:
         raise ConfigError("link.snr_db and link.snr_linear are mutually "
                           "exclusive; give one")
     if "snr_db" in link_sec:
-        avg_snr = 10.0 ** (_float_key(link_sec, "link", "snr_db", 10.0) / 10.0)
+        avg_snr = _snr_from_db(_float_key(link_sec, "link", "snr_db", 10.0),
+                               "link.snr_db")
     else:
         avg_snr = _float_key(link_sec, "link", "snr_linear", 10.0,
                              positive=True)
@@ -396,8 +404,8 @@ def _scenario_from_args(args: argparse.Namespace) -> tuple[ScenarioConfig,
     if getattr(args, "snr_db", None) is not None:
         if not math.isfinite(args.snr_db):
             raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
-        overrides["link"] = replace(scenario.link,
-                                    avg_snr=10.0 ** (args.snr_db / 10.0))
+        overrides["link"] = replace(
+            scenario.link, avg_snr=_snr_from_db(args.snr_db, "--snr-db"))
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if getattr(args, "margin", None) is not None:

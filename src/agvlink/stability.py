@@ -25,12 +25,13 @@ is stable exactly when every root of
 has modulus below 1 - margin. Because Mn has rank 2 this is a polynomial of
 degree 2n + 3, and its roots on or outside a circle are counted by the
 argument principle at a cost that grows with n only, not with the track
-length. That count is the one stability test: `evaluate_candidate` and
-`outage_tolerance`'s search both decide with it, and the spectral radius they
-report is bracketed by the same count. (The roots are also the eigenvalues of
-a (3 + 2n)-dimensional companion matrix that carries the two command
-components through the delay line; the tests check the count against them,
-and M0 and Mn against finite differences of the nonlinear step.)
+length. That count is the one stability test: `outage_tolerance`'s search
+decides every lag by counts alone. A spectral radius costs about 45 counts,
+so it is bracketed, by the same count, only where it is read: by
+`evaluate_candidate` and by a report's `history`. (The roots are also the
+eigenvalues of a (3 + 2n)-dimensional companion matrix that carries the two
+command components through the delay line; the tests check the count against
+them, and M0 and Mn against finite differences of the nonlinear step.)
 
 An ellipse is tested in frozen time: the loop above is formed at the
 operating points of FROZEN_POINTS track samples spaced evenly in speed from
@@ -53,6 +54,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -186,7 +188,7 @@ def _operating_point(track: ReferenceTrack, g: Gains, k: int) -> _OperatingPoint
     return _OperatingPoint(step=k, m0=m0, u=u, v=v)
 
 
-def _operating_points(track: ReferenceTrack, g: Gains) -> list[_OperatingPoint]:
+def _operating_points(track: ReferenceTrack, g: Gains) -> tuple[_OperatingPoint, ...]:
     """The frozen-time points the stability test evaluates, fastest first."""
     nus = track.nus[:-1]
     if track.spec.semi_axis_a == track.spec.axis_b:
@@ -194,7 +196,7 @@ def _operating_points(track: ReferenceTrack, g: Gains) -> list[_OperatingPoint]:
     else:
         targets = np.linspace(float(np.max(nus)), float(np.min(nus)), FROZEN_POINTS)
         steps = list(dict.fromkeys(int(np.argmin(np.abs(nus - t))) for t in targets))
-    return [_operating_point(track, g, k) for k in steps]
+    return tuple(_operating_point(track, g, k) for k in steps)
 
 
 @dataclass(frozen=True)
@@ -215,8 +217,8 @@ class CandidateScan:
 class StabilityReport:
     """Outcome of the outage-tolerance search.
 
-    history lists the candidates scanned as `evaluate_candidate` scans them,
-    with their spectral radii: lag 0, n_max and n_max + 1.
+    history scans lags, those of 0, n_max and n_max + 1 that the search
+    reached, as `evaluate_candidate` does; radii are bracketed on first read.
     """
 
     n_max: int
@@ -225,7 +227,12 @@ class StabilityReport:
     trace_time: float
     margin: float = 0.0
     capped: bool = False
-    history: tuple[CandidateScan, ...] = field(default_factory=tuple)
+    lags: tuple[int, ...] = ()
+    points: tuple[_OperatingPoint, ...] = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def history(self) -> tuple[CandidateScan, ...]:
+        return tuple(_scan(self.points, n, self.margin) for n in self.lags)
 
 
 def _check_margin(margin: float) -> None:
@@ -233,7 +240,7 @@ def _check_margin(margin: float) -> None:
         raise ParameterError("stability margin must lie in [0, 1)")
 
 
-def _scan(points: list[_OperatingPoint], n: int, margin: float) -> CandidateScan:
+def _scan(points: tuple[_OperatingPoint, ...], n: int, margin: float) -> CandidateScan:
     radii = [p.spectral_radius(n, 1.0 - margin) for p in points]
     worst = int(np.argmax(radii))
     return CandidateScan(n, bool(radii[worst] < 1.0 - margin),
@@ -254,35 +261,29 @@ def outage_tolerance(track: ReferenceTrack, g: Gains,
                      margin: float = 0.0) -> StabilityReport:
     """Largest lag n at which the delayed loop is stable.
 
-    Lag 0 is scanned first; an exponential ramp then a bisection over root
-    counts finds the boundary, and n_max and n_max + 1 are scanned as
-    `evaluate_candidate` scans them, which records their spectral radii.
-    Candidates are capped at n_steps - 1; hitting the cap is flagged since
-    the failure side cannot then be verified.
+    Every lag is decided by root counts: lag 0 first, then an exponential
+    ramp and a bisection find the boundary. No spectral radius is computed
+    here; the report's history brackets those of lag 0, n_max and n_max + 1
+    when it is read. When lag 0 already fails, first_violation_step is the
+    track step of the fastest operating point with a root on or outside
+    1 - margin. Candidates are capped at n_steps - 1; hitting the cap is
+    flagged since the failure side cannot then be verified.
     """
     _check_margin(margin)
     if track.n_steps < 1:
         raise ParameterError("track must contain at least one step")
     points = _operating_points(track, g)
-    history: list[CandidateScan] = []
+    limit = 1.0 - margin
 
-    def record(n: int) -> CandidateScan:
-        history.append(_scan(points, n, margin))
-        return history[-1]
-
-    def report(n_max: int, **extra) -> StabilityReport:
+    def report(n_max: int, lags: tuple[int, ...], **extra) -> StabilityReport:
         return StabilityReport(n_max=n_max, ts=track.ts,
                                trace_time=track.trace_time, margin=margin,
-                               history=tuple(history), **extra)
+                               lags=lags, points=points, **extra)
 
-    first = record(0)
-    if not first.stable:
-        return report(0, first_violation_step=first.argmax_k)
+    first = next((p.step for p in points if p.roots_outside(0, limit)), None)
+    if first is not None:
+        return report(0, (0,), first_violation_step=first)
     cap = track.n_steps - 1
-    if cap == 0:
-        return report(0, first_violation_step=None, capped=True)
-
-    limit = 1.0 - margin
 
     def counted_stable(n: int) -> bool:
         return all(p.roots_outside(n, limit) == 0 for p in points)
@@ -300,12 +301,10 @@ def outage_tolerance(track: ReferenceTrack, g: Gains,
         else:
             hi = mid
 
-    if lo > 0:
-        record(lo)
+    lags = (0, lo) if lo > 0 else (0,)
     if lo == cap:
-        return report(cap, first_violation_step=None, capped=True)
-    record(lo + 1)
-    return report(lo, first_violation_step=None)
+        return report(cap, lags, first_violation_step=None, capped=True)
+    return report(lo, lags + (lo + 1,), first_violation_step=None)
 
 
 def simulate_delay_stability(track: ReferenceTrack, g: Gains, n: int) -> bool:

@@ -202,6 +202,20 @@ def test_main_bad_flag_values_exit_2(capsys):
     assert "grid values must be positive and finite" in capsys.readouterr().err
 
 
+def test_snr_db_flag_too_large_exits_2(capsys):
+    # 10 ** (4000 / 10) overflows a float; the flag is refused by name
+    assert main(["channel", "--snr-db", "4000"]) == 2
+    assert "--snr-db" in capsys.readouterr().err
+
+
+def test_snr_db_config_key_too_large_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "[link]\nsnr_db = 4000\n")
+    with pytest.raises(ConfigError, match=r"link\.snr_db"):
+        load_config(path)
+    assert main(["channel", "--config", path]) == 2
+    assert "link.snr_db" in capsys.readouterr().err
+
+
 def test_main_internal_failure_is_exit_3(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NumericConsistencyError("synthetic breakage")

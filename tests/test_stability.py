@@ -18,7 +18,7 @@ from agvlink import (
     simulate_delay_stability,
     write_stability_csv,
 )
-from agvlink.stability import _error_frame_loop
+from agvlink.stability import _error_frame_loop, _OperatingPoint
 
 from conftest import jacobian_fd_pairs
 
@@ -152,6 +152,33 @@ def test_outage_tolerance_radii_cover_scan_range(search_track, gains):
     assert report.ts == search_track.ts
 
 
+def test_outage_tolerance_decides_by_counts_alone(monkeypatch, search_track,
+                                                  gains):
+    # the search brackets no spectral radius, and its root counts stay
+    # within lag 0 plus the ramp and the bisection at each operating point
+    def no_radius(self, n, limit):
+        raise AssertionError(f"spectral radius of lag {n} computed")
+
+    counts = []
+    count = _OperatingPoint.roots_outside
+
+    def counted(self, n, radius):
+        counts.append(n)
+        return count(self, n, radius)
+
+    circle = build_reference_track(TrackSpec(), 500.0, 1e-3)
+    ellipse = build_reference_track(
+        TrackSpec(shape="ellipse", semi_axis_b=200.0), 100.0, 1e-3)
+    monkeypatch.setattr(_OperatingPoint, "spectral_radius", no_radius)
+    monkeypatch.setattr(_OperatingPoint, "roots_outside", counted)
+    for track, margin in ((circle, 0.0), (circle, 1e-3), (ellipse, 0.0),
+                          (search_track, 2e-2)):
+        counts.clear()
+        report = outage_tolerance(track, gains, margin)
+        bound = 2 * math.ceil(math.log2(report.n_max + 2)) + 3
+        assert 0 < len(counts) <= bound * len(report.points), (track, margin)
+
+
 def test_outage_tolerance_monotone_in_margin(search_track, gains):
     loose = outage_tolerance(search_track, gains, margin=0.0)
     tight = outage_tolerance(search_track, gains, margin=1e-4)
@@ -271,3 +298,20 @@ def test_stability_csv(tmp_path, search_track, gains):
     assert len(lines) == len(report.history) + 1
     stable_flags = {int(row.split(",")[1]) for row in lines[1:]}
     assert stable_flags <= {0, 1}
+
+
+def test_stability_csv_rows_match_evaluate_candidate(tmp_path, search_track,
+                                                     gains):
+    # the radii the report brackets on demand are those of an eager scan
+    ellipse = build_reference_track(
+        TrackSpec(shape="ellipse", semi_axis_b=200.0), 20.0, 4e-3)
+    out = tmp_path / "report.csv"
+    for track in (search_track, ellipse):
+        write_stability_csv(outage_tolerance(track, gains), out)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        scans = [evaluate_candidate(track, gains, int(row[0])) for row in rows]
+        assert rows == [[str(s.n), str(int(s.stable)),
+                         repr(s.worst_spectral_radius), str(s.argmax_k)]
+                        for s in scans]
+    assert [s.n for s in scans] == [0, 17, 18]
+    assert [s.argmax_k for s in scans] == [0, 1250, 1250]
