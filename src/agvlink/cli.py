@@ -129,9 +129,12 @@ def _float_key(section: dict, sec: str, key: str, default: float, *,
 
 def _snr_from_db(snr_db: float, name: str) -> float:
     try:
-        return 10.0 ** (snr_db / 10.0)
+        snr = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         raise ConfigError(f"{name} is too large, got {snr_db} dB") from None
+    if snr == 0.0:    # underflow: no link parameter may be zero
+        raise ConfigError(f"{name} is too small, got {snr_db} dB")
+    return snr
 
 
 def _int_key(section: dict, sec: str, key: str, default: int, *,

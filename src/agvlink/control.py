@@ -23,7 +23,6 @@ error is always measured from the fresh state.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -276,29 +275,38 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
                       nu_applied=out_nu, omega_applied=out_om, outage=out_flag)
 
 
+# Rows per formatted block: enough to amortise the numpy calls, few enough
+# that the block's Python floats and strings stay small beside the run.
+_CSV_BLOCK_ROWS = 1024
+
 TRAJECTORY_COLUMNS = ["k", "t", "x_r", "y_r", "theta_r", "x_c", "y_c", "theta_c",
                       "x_e", "y_e", "theta_e", "nu_applied", "omega_applied",
                       "outage_flag"]
 
 
 def write_trajectory_csv(traj: Trajectory, track: ReferenceTrack, path) -> None:
-    """Write a run to CSV (one row per step, header mandatory, SI units)."""
+    """Write a run to CSV (one row per step, header mandatory, SI units).
+
+    Each float is written as its shortest round-trip `repr` and each outage
+    flag as 0 or 1. Rows are formatted and written in blocks of
+    `_CSV_BLOCK_ROWS`, so memory does not grow with the length of the run.
+    """
     n_steps = track.n_steps
     lap_turn = track.heading_per_lap()
+    states = [np.asarray(c, dtype=np.float64) for c in (
+        traj.x_c, traj.y_c, traj.theta_c, traj.x_e, traj.y_e, traj.theta_e,
+        traj.nu_applied, traj.omega_applied)]
+    flags = np.asarray(traj.outage, dtype=bool).view(np.uint8)
     with csv_sink(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for k in range(len(traj)):
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+        for lo in range(0, len(traj), _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, len(traj))
+            k = np.arange(lo, hi)
             r = k % n_steps
-            lap = k // n_steps
-            writer.writerow([
-                k, repr(k * traj.ts),
-                repr(float(track.xs[r])), repr(float(track.ys[r])),
-                repr(float(track.thetas[r] + lap * lap_turn)),
-                repr(float(traj.x_c[k])), repr(float(traj.y_c[k])),
-                repr(float(traj.theta_c[k])),
-                repr(float(traj.x_e[k])), repr(float(traj.y_e[k])),
-                repr(float(traj.theta_e[k])),
-                repr(float(traj.nu_applied[k])), repr(float(traj.omega_applied[k])),
-                int(traj.outage[k]),
-            ])
+            floats = [k * traj.ts, track.xs[r], track.ys[r],
+                      track.thetas[r] + k // n_steps * lap_turn,
+                      *(c[lo:hi] for c in states)]
+            columns = [map(str, k.tolist()),
+                       *(map(repr, f.tolist()) for f in floats),
+                       map(str, flags[lo:hi].tolist())]
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))

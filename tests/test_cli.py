@@ -216,6 +216,21 @@ def test_snr_db_config_key_too_large_exits_2(tmp_path, capsys):
     assert "link.snr_db" in capsys.readouterr().err
 
 
+def test_snr_db_flag_too_small_exits_2(capsys):
+    # 10 ** (-4000 / 10) underflows to 0; the flag is refused by name
+    assert main(["channel", "--snr-db", "-4000"]) == 2
+    err = capsys.readouterr().err
+    assert "--snr-db" in err and "too small" in err
+
+
+def test_snr_db_config_key_too_small_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "[link]\nsnr_db = -4000\n")
+    with pytest.raises(ConfigError, match=r"link\.snr_db is too small"):
+        load_config(path)
+    assert main(["channel", "--config", path]) == 2
+    assert "link.snr_db" in capsys.readouterr().err
+
+
 def test_main_internal_failure_is_exit_3(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NumericConsistencyError("synthetic breakage")

@@ -1,5 +1,7 @@
 """Unit tests for the tracking loop: transforms, control law, plant, tracks."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from agvlink import (
     Gains,
     ParameterError,
     TrackSpec,
+    Trajectory,
     build_reference_track,
     control_law,
     plant_step,
@@ -19,6 +22,7 @@ from agvlink import (
     wrap_angle,
     write_trajectory_csv,
 )
+from agvlink.control import TRAJECTORY_COLUMNS
 
 finite_angle = st.floats(-50.0, 50.0)
 small_coord = st.floats(-1e3, 1e3)
@@ -331,3 +335,66 @@ def test_trajectory_csv_schema_and_determinism(tmp_path, tiny_track, gains):
     assert len(lines) == 51
     assert lines[8].endswith(",1")    # outage flag serialized as 0/1
     assert lines[1].split(",")[1] == "0.0"
+
+
+def _per_row_trajectory_csv(traj, track, fh):
+    """Reference: the row-at-a-time writer, one csv.writer row per step."""
+    n_steps = track.n_steps
+    lap_turn = track.heading_per_lap()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(TRAJECTORY_COLUMNS)
+    for k in range(len(traj)):
+        r = k % n_steps
+        lap = k // n_steps
+        writer.writerow([
+            k, repr(k * traj.ts),
+            repr(float(track.xs[r])), repr(float(track.ys[r])),
+            repr(float(track.thetas[r] + lap * lap_turn)),
+            repr(float(traj.x_c[k])), repr(float(traj.y_c[k])),
+            repr(float(traj.theta_c[k])),
+            repr(float(traj.x_e[k])), repr(float(traj.y_e[k])),
+            repr(float(traj.theta_e[k])),
+            repr(float(traj.nu_applied[k])), repr(float(traj.omega_applied[k])),
+            int(traj.outage[k]),
+        ])
+
+
+def test_trajectory_csv_matches_per_row_repr(tiny_track, gains):
+    def lossy(steps):
+        sched = np.zeros(steps, dtype=bool)
+        sched[5::97] = True
+        sched[300:340] = True
+        return sched
+
+    cw = build_reference_track(TrackSpec(semi_axis_a=10.0, direction="cw"),
+                               4.0, 5e-3)
+    ellipse = build_reference_track(TrackSpec(shape="ellipse",
+                                              semi_axis_a=350.0,
+                                              semi_axis_b=200.0), 20.0, 1e-2)
+    assert cw.heading_per_lap() < 0.0 < ellipse.heading_per_lap()
+    # block edges at 1024 rows, 2.5 laps of each turn sense, a delayed run
+    cases = [(simulate_closed_loop(tiny_track, gains, lossy(n)), tiny_track)
+             for n in (1, 1023, 1024, 1025, 2 * 1024 + 3)]
+    cases += [(simulate_closed_loop(tr, gains, lossy(5 * tr.n_steps // 2)), tr)
+              for tr in (cw, ellipse)]
+    cases.append((simulate_closed_loop(tiny_track, gains, lossy(1500), delay=7),
+                  tiny_track))
+    # values whose shortest repr differs from a fixed-precision format
+    special = np.array([-0.0, 1e-05, 1.5e-07, 1e16, 1.2345678901234568e17,
+                        5e-324, math.nan, math.inf, -math.inf])
+    steps = 1030
+    cols = [np.roll(np.resize(special, steps), j) for j in range(8)]
+    cases.append((Trajectory(1e-3, *cols, outage=np.arange(steps) % 3 == 1),
+                  tiny_track))
+
+    for traj, track in cases:
+        got, want = io.StringIO(), io.StringIO()
+        write_trajectory_csv(traj, track, got)
+        _per_row_trajectory_csv(traj, track, want)
+        got, want = got.getvalue(), want.getvalue()
+        # name the first differing line; pytest's diff of a whole run is slow
+        same = got == want
+        first_bad = next((i for i, (a, b) in enumerate(
+            zip(got.split("\n"), want.split("\n"))) if a != b), None)
+        assert same, (len(traj), first_bad)
+        assert got.count("\n") == len(traj) + 1

@@ -31,7 +31,7 @@ def _lag0_matrix(nu, delta, ts, g):
     return m0 + u @ v
 
 
-def test_state_jacobian_printed_example():
+def test_lag0_matrix_printed_example():
     a = _lag0_matrix(4.4, 0.0, 1e-3, Gains())
     expected = np.array([[0.99, 0.0, 0.0],
                          [0.0, 1.0, 0.0044],
@@ -39,30 +39,17 @@ def test_state_jacobian_printed_example():
     assert np.allclose(a, expected, rtol=0.0, atol=1e-12)
 
 
-def test_state_jacobian_identity_limit():
+def test_lag0_matrix_identity_limit():
     a = _lag0_matrix(4.4, 0.3e-12, 1e-12, Gains())
     assert np.allclose(a, np.eye(3), atol=1e-10)
 
 
-def test_state_jacobian_requires_positive_ts():
-    # the search builds its matrices from a track, and no track has ts = 0
-    with pytest.raises(ParameterError):
-        outage_tolerance(build_reference_track(TrackSpec(), 20.0, 0.0), Gains())
-
-
-def test_state_jacobian_matches_finite_differences():
+def test_error_frame_loop_matches_finite_differences():
     # M0 + U V, M0 and U V, each against its own perturbation
     worst = 0.0
     for pairs in jacobian_fd_pairs(np.random.default_rng(7), 100, Gains()):
         worst = max(worst, max(float(np.max(np.abs(fd - a))) for a, fd in pairs))
     assert worst < 1e-6
-
-
-def test_split_jacobians_require_positive_ts():
-    # likewise for a single lag candidate at a negative period
-    with pytest.raises(ParameterError):
-        evaluate_candidate(build_reference_track(TrackSpec(), 20.0, -1e-3),
-                           Gains(), 0)
 
 
 def _companion(point, n):
