@@ -45,7 +45,6 @@ from .channel import (
     outage_probability,
     phi_variable,
     sample_fading_gains,
-    sample_markov_outages,
     sample_outage_sequence,
     snr_threshold,
     spectral_efficiency,
@@ -72,7 +71,6 @@ from .stability import (
     StabilityReport,
     evaluate_candidate,
     outage_tolerance,
-    simulate_burst_stability,
     simulate_delay_stability,
     write_stability_csv,
 )
@@ -85,16 +83,14 @@ __all__ = [
     "simulate_closed_loop", "wrap_angle", "write_trajectory_csv",
     # stability
     "CandidateScan", "StabilityReport", "evaluate_candidate",
-    "outage_tolerance", "simulate_delay_stability",
-    "simulate_burst_stability", "write_stability_csv",
+    "outage_tolerance", "simulate_delay_stability", "write_stability_csv",
     # channel
     "LinkParams", "OutageModel", "spectral_efficiency", "snr_threshold",
     "outage_probability", "doppler_shift", "fading_correlation",
     "phi_variable", "back_to_back_prob",
     "consecutive_outage_prob", "consecutive_outage_log10",
     "build_outage_model", "sample_fading_gains", "sample_outage_sequence",
-    "sample_markov_outages", "SPEED_OF_LIGHT", "DEFAULT_CARRIER_FREQ",
-    "PRNG_ID",
+    "SPEED_OF_LIGHT", "DEFAULT_CARRIER_FREQ", "PRNG_ID",
     # analysis
     "ScenarioConfig", "PointResult", "SweepRow", "SweepResult",
     "MonteCarloRow", "MonteCarloResult", "instability_probability",

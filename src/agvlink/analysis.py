@@ -20,13 +20,12 @@ the CSV schema keeps the plain probability column.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._io import csv_sink
+from ._io import _fmt, write_table
 from ._version import __version__
 from .channel import (
     PRNG_ID,
@@ -108,9 +107,6 @@ class SweepResult:
     axis: str
     rows: tuple[SweepRow, ...]
     config: ScenarioConfig
-
-    def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self.rows]
 
 
 @dataclass(frozen=True)
@@ -313,22 +309,13 @@ def metadata_lines(cfg: ScenarioConfig, extra: dict | None = None) -> list[str]:
     return lines
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _rows(rows, columns: list[str]):
+    return ([getattr(row, col) for col in columns] for row in rows)
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    with csv_sink(path) as fh:
-        for line in metadata_lines(result.config, {"sweep_axis": result.axis}):
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for row in result.rows:
-            writer.writerow([_fmt(getattr(row, col)) for col in SWEEP_COLUMNS])
+    write_table(path, SWEEP_COLUMNS, _rows(result.rows, SWEEP_COLUMNS),
+                metadata_lines(result.config, {"sweep_axis": result.axis}))
 
 
 def write_montecarlo_csv(result: MonteCarloResult, path) -> None:
@@ -339,11 +326,6 @@ def write_montecarlo_csv(result: MonteCarloResult, path) -> None:
              "unstable_frequency": _fmt(result.frequency),
              "ci95_low": _fmt(result.ci_low),
              "ci95_high": _fmt(result.ci_high)}
-    with csv_sink(path) as fh:
-        for line in metadata_lines(result.config, extra):
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MONTECARLO_COLUMNS)
-        for row in result.rows:
-            writer.writerow([_fmt(getattr(row, col))
-                             for col in MONTECARLO_COLUMNS])
+    write_table(path, MONTECARLO_COLUMNS,
+                _rows(result.rows, MONTECARLO_COLUMNS),
+                metadata_lines(result.config, extra))

@@ -77,7 +77,15 @@ def snr_threshold(rate: float, avg_snr: float) -> float:
     """Normalized SNR below which a packet at spectral efficiency `rate` fails."""
     if rate < 0 or avg_snr <= 0:
         raise ParameterError("rate must be nonnegative and avg_snr positive")
-    return (2.0 ** rate - 1.0) / avg_snr
+    try:
+        gamma_th = (2.0 ** rate - 1.0) / avg_snr
+    except OverflowError:
+        gamma_th = math.inf
+    if not math.isfinite(gamma_th):
+        raise ParameterError(
+            f"SNR threshold (2**R - 1)/avg_snr is not finite at R = {rate!r}, "
+            f"avg_snr = {avg_snr!r}")
+    return gamma_th
 
 
 def outage_probability(gamma_th: float) -> float:
@@ -140,7 +148,7 @@ def back_to_back_prob(gamma_th: float, rho: float,
     hi, lo = phi * phi, (ar * phi) ** 2
     numerator = float(chndtr(hi, 2, lo) - chndtr(lo, 2, hi))
     p_bb = 1.0 - numerator / math.expm1(gamma_th)
-    if p_bb < -1e-6 or p_bb > 1.0 + 1e-6:
+    if not -1e-6 <= p_bb <= 1.0 + 1e-6:
         raise NumericConsistencyError(
             f"back-to-back probability {p_bb} out of range before clamping")
     return min(max(p_bb, 0.0), 1.0)
@@ -255,27 +263,3 @@ def sample_outage_sequence(rho: float, gamma_th: float, length: int, seed: int,
         raise ParameterError("gamma_th must be nonnegative")
     h = sample_fading_gains(rho, length, seed, stream)
     return (h.real * h.real + h.imag * h.imag) < gamma_th
-
-
-def sample_markov_outages(p1: float, p_bb: float, length: int, seed: int,
-                          stream: int = 0) -> np.ndarray:
-    """Loss sequence from the two-state chain the run-length formula assumes.
-
-    Stationary start: P(loss) = p1; transitions P(loss|loss) = p_bb and
-    P(loss|clear) = p1 (1 - p_bb)/(1 - p1), which keeps the marginal at p1.
-    """
-    if not (0.0 <= p1 < 1.0 and 0.0 <= p_bb <= 1.0):
-        raise ParameterError("need 0 <= p1 < 1 and 0 <= p_bb <= 1")
-    if length < 1:
-        raise ParameterError("length must be at least 1")
-    p01 = p1 * (1.0 - p_bb) / (1.0 - p1)
-    if p01 > 1.0:
-        raise ParameterError("p_bb too small for a stationary chain at this p1")
-    u = _generator(seed, stream).random(length)
-    out = np.empty(length, dtype=bool)
-    state = bool(u[0] < p1)
-    out[0] = state
-    for k in range(1, length):
-        state = bool(u[k] < (p_bb if state else p01))
-        out[k] = state
-    return out

@@ -45,20 +45,18 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import math
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._io import csv_sink
+from ._io import write_table
 from ._version import __version__
 from .analysis import (
     DEFAULT_TRACE_GRID,
     DEFAULT_TS_GRID,
     ScenarioConfig,
-    instability_probability,
     montecarlo_instability,
     sweep_sampling_time,
     sweep_trace_time,
@@ -132,7 +130,7 @@ def _snr_from_db(snr_db: float, name: str) -> float:
         snr = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         raise ConfigError(f"{name} is too large, got {snr_db} dB") from None
-    if snr == 0.0:    # underflow: no link parameter may be zero
+    if snr < sys.float_info.min:    # underflow to zero or a subnormal
         raise ConfigError(f"{name} is too small, got {snr_db} dB")
     return snr
 
@@ -268,52 +266,6 @@ def load_config(path: str | None) -> CliConfig:
                           DEFAULT_TS_GRID, 1e-3),
         trace_grid=_grid_key(sweep_sec, "sweep", "trace_grid_s",
                              DEFAULT_TRACE_GRID, 1.0))
-
-
-def parse_config(path: str) -> ScenarioConfig:
-    """Validated scenario from an INI file (defaults fill absent keys)."""
-    return load_config(path).scenario
-
-
-def emit_config(cfg: ScenarioConfig) -> str:
-    """Render a scenario as INI text; parse_config inverts it exactly.
-
-    The SNR and sampling period are written with the lossless keys
-    (snr_linear, ts_s) so the round trip is bit-identical; the dB and
-    millisecond spellings remain accepted on input.
-    """
-    lines = [
-        "[link]",
-        f"bandwidth_hz = {cfg.link.bandwidth_hz!r}",
-        f"num_agvs = {cfg.link.num_agvs}",
-        f"payload_bytes = {cfg.link.payload_bits / 8.0!r}",
-        f"snr_linear = {cfg.link.avg_snr!r}",
-        f"carrier_freq_hz = {cfg.link.carrier_freq_hz!r}",
-        "",
-        "[gains]",
-        f"k_x_per_s = {cfg.gains.k_x!r}",
-        f"k_y_per_m = {cfg.gains.k_y!r}",
-        f"k_theta_per_m = {cfg.gains.k_theta!r}",
-        "",
-        "[track]",
-        f"shape = {cfg.track.shape}",
-        f"semi_axis_a_m = {cfg.track.semi_axis_a!r}",
-    ]
-    if cfg.track.semi_axis_b is not None:
-        lines.append(f"semi_axis_b_m = {cfg.track.semi_axis_b!r}")
-    lines += [
-        f"start_angle_rad = {cfg.track.start_angle!r}",
-        f"direction = {cfg.track.direction}",
-        "",
-        "[sim]",
-        f"ts_s = {cfg.ts!r}",
-        f"trace_time_s = {cfg.trace_time!r}",
-        f"phi_convention = {cfg.phi_convention}",
-        f"margin = {cfg.margin!r}",
-        f"seed = {cfg.seed}",
-        "",
-    ]
-    return "\n".join(lines)
 
 
 # --- argument parsing --------------------------------------------------------
@@ -468,16 +420,11 @@ def _cmd_channel(args: argparse.Namespace) -> int:
     rate = spectral_efficiency(scenario.link.payload_bits,
                                scenario.link.num_agvs, scenario.ts,
                                scenario.link.bandwidth_hz)
-    with csv_sink(_out_handle(args)) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "R", "gamma_th", "rho", "phi", "P1", "Pbb",
-                         "Pe(n)"])
-        for n in n_list:
-            writer.writerow([n, repr(rate), repr(model.gamma_th),
-                             repr(model.rho), repr(model.phi),
-                             repr(model.p1), repr(model.p_bb),
-                             repr(consecutive_outage_prob(
-                                 n, model.p1, model.p_bb))])
+    rows = [(n, rate, model.gamma_th, model.rho, model.phi, model.p1,
+             model.p_bb, consecutive_outage_prob(n, model.p1, model.p_bb))
+            for n in n_list]
+    write_table(_out_handle(args),
+                ["n", "R", "gamma_th", "rho", "phi", "P1", "Pbb", "Pe(n)"], rows)
     return 0
 
 
@@ -558,11 +505,6 @@ _COMMANDS = {
 }
 
 
-def dispatch(args: argparse.Namespace) -> int:
-    """Run the selected subcommand; exceptions map to exit codes in main()."""
-    return _COMMANDS[args.command](args)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -575,7 +517,7 @@ def main(argv=None) -> int:
               f"(one of: {', '.join(_COMMANDS)})", file=sys.stderr)
         return 2
     try:
-        return dispatch(args)
+        return _COMMANDS[args.command](args)
     except ParameterError as exc:          # includes ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -127,7 +127,11 @@ def build_reference_track(spec: TrackSpec, trace_time: float, ts: float) -> Refe
     if not ts <= trace_time < math.inf:
         raise ParameterError("trace_time must be finite and at least one "
                              "sampling period")
-    n_steps = math.ceil(trace_time / ts)
+    steps = trace_time / ts
+    if not math.isfinite(steps):
+        raise ParameterError(f"trace_time / ts = {trace_time!r} / {ts!r} "
+                             "is not a finite step count")
+    n_steps = math.ceil(steps)
     sign = 1.0 if spec.direction == "ccw" else -1.0
     a, b = spec.semi_axis_a, spec.axis_b
 

@@ -44,21 +44,19 @@ under a margin the slowest can bind first, its slow mode lying nearest the
 circle. The tests check the samples against every 25th step of a lap on which
 that lag falls from 31 to 17.
 
-Two nonlinear checks drive the simulator: `simulate_delay_stability` with a
-constant n-sample delay, the loop the linear test models, and
-`simulate_burst_stability` with bursts of n losses under zero-order hold.
+One nonlinear check runs the simulator: `simulate_delay_stability`, with a
+constant n-sample delay, the loop the linear test models.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from ._io import csv_sink
+from ._io import write_table
 from .control import Gains, ReferenceTrack, simulate_closed_loop
 from .exceptions import ParameterError
 
@@ -338,58 +336,12 @@ def simulate_delay_stability(track: ReferenceTrack, g: Gains, n: int) -> bool:
     return float(np.ptp(err[-window:])) < float(np.ptp(err[n:n + window]))
 
 
-def simulate_burst_stability(track: ReferenceTrack, g: Gains, n: int) -> bool:
-    """Nonlinear check: survive forced bursts of n consecutive losses.
-
-    The loop settles for eight slow-mode time constants, then suffers bursts
-    of exactly n outages spaced by a recovery window (9n samples, capped at
-    twelve time constants plus a safety pad to bound runtime on huge n).
-    Stable means the position error stays below a fifth of the larger
-    semi-axis and drops back to max(1.5x the pre-burst level, 1e-4 m) inside
-    each window.
-    """
-    if n < 0:
-        raise ParameterError("burst length must be nonnegative")
-    diverged = 0.2 * max(track.spec.semi_axis_a, track.spec.axis_b)
-    ts = track.ts
-    tau = 2.0 / (g.k_theta * track.max_speed)
-    settle = int(math.ceil(8.0 * tau / ts)) + 10
-    if n == 0:
-        sched = np.zeros(settle + int(math.ceil(4.0 * tau / ts)), dtype=bool)
-        err = simulate_closed_loop(track, g, sched).position_error()
-        return bool(np.max(err) < diverged
-                    and err[-1] < max(1.5 * float(np.min(err[settle:])), 1e-4))
-
-    recovery = min(9 * n, int(math.ceil(12.0 * tau / ts)) + 2000)
-    bursts = 2 if settle + 2 * (n + recovery) <= 600_000 else 1
-    total = settle + bursts * (n + recovery)
-    sched = np.zeros(total, dtype=bool)
-    for b in range(bursts):
-        start = settle + b * (n + recovery)
-        sched[start:start + n] = True
-    err = simulate_closed_loop(track, g, sched).position_error()
-
-    if float(np.max(err)) >= diverged:
-        return False
-    window = min(settle, int(math.ceil(tau / ts)) + 10)
-    pre_level = float(np.max(err[settle - window:settle]))
-    tolerance = max(1.5 * pre_level, 1e-4)
-    for b in range(bursts):
-        lo = settle + b * (n + recovery) + n
-        if float(np.min(err[lo:lo + recovery])) > tolerance:
-            return False
-    return True
-
-
 STABILITY_COLUMNS = ["n_candidate", "stable_flag", "worst_spectral_radius",
                      "argmax_k"]
 
 
 def write_stability_csv(report: StabilityReport, path) -> None:
     """Write the tolerance-search history to CSV (one row per candidate)."""
-    with csv_sink(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STABILITY_COLUMNS)
-        for rec in report.history:
-            writer.writerow([rec.n, int(rec.stable),
-                             repr(rec.worst_spectral_radius), rec.argmax_k])
+    write_table(path, STABILITY_COLUMNS,
+                ((rec.n, rec.stable, rec.worst_spectral_radius, rec.argmax_k)
+                 for rec in report.history))

@@ -1,9 +1,9 @@
 """Composition-layer tests: point evaluation, sweeps, Monte-Carlo, CSV output.
 
 The analytic chain is checked against its own factorization (p_us must equal
-p1 * p_bb^(n_max - 1) to floating precision), the Monte-Carlo counting against
-an exact dynamic-programming enumeration of burst occurrence in a two-state
-chain, and the Wilson interval against scipy's implementation.
+p1 * p_bb^(n_max - 1) to floating precision), the run detector against a plain
+loop over random bit strings, the Monte-Carlo counting against a recount of
+its own draws, and the Wilson interval against scipy's implementation.
 """
 
 import io
@@ -26,7 +26,6 @@ from agvlink import (
     instability_probability,
     longest_outage_run,
     montecarlo_instability,
-    sample_markov_outages,
     sweep_sampling_time,
     sweep_trace_time,
     wilson_interval,
@@ -269,60 +268,6 @@ def test_montecarlo_cosimulate_records_error():
 def test_montecarlo_rejects_bad_runs(short_cfg, short_point):
     with pytest.raises(ParameterError):
         montecarlo_instability(short_cfg, runs=0, point=short_point)
-
-
-def _burst_occurrence_exact(p1: float, p_bb: float, length: int,
-                            threshold: int) -> float:
-    """P(some loss run >= threshold in `length` slots) by forward DP.
-
-    State: (in-loss run length capped at threshold, or clear); stationary
-    start P(loss) = p1, transitions p_bb / p01 as in the sampler.
-    """
-    p01 = p1 * (1.0 - p_bb) / (1.0 - p1)
-    # dist[r] = P(current run == r, threshold not yet hit); r = 0 means clear
-    dist = [0.0] * threshold
-    if threshold == 1:
-        dist[0], hit = 1.0 - p1, p1
-    else:
-        dist[0], dist[1] = 1.0 - p1, p1
-        hit = 0.0
-    for _ in range(length - 1):
-        nxt = [0.0] * threshold
-        nxt[0] = dist[0] * (1.0 - p01) + sum(dist[1:]) * (1.0 - p_bb)
-        if threshold == 1:
-            hit += dist[0] * p01
-        else:
-            nxt[1] = dist[0] * p01
-            for r in range(1, threshold - 1):
-                nxt[r + 1] = dist[r] * p_bb
-            hit += dist[threshold - 1] * p_bb
-        dist = nxt
-    return hit
-
-
-def test_burst_occurrence_against_exact_enumeration():
-    # cross-validate the chain sampler + run detector against an exact DP
-    p1, p_bb, length, threshold = 0.5, 0.8, 20, 4
-    exact = _burst_occurrence_exact(p1, p_bb, length, threshold)
-    trials = 20_000
-    hits = sum(
-        longest_outage_run(sample_markov_outages(p1, p_bb, length, seed=77,
-                                                 stream=t)) >= threshold
-        for t in range(trials))
-    freq = hits / trials
-    sigma = math.sqrt(exact * (1 - exact) / trials)
-    assert abs(freq - exact) < 3 * sigma, (freq, exact, 3 * sigma)
-
-
-def test_burst_occurrence_exact_dp_sanity():
-    # threshold 1 collapses to "any loss at all"
-    p1, p_bb, length = 0.3, 0.6, 6
-    p01 = p1 * (1 - p_bb) / (1 - p1)
-    no_loss = (1 - p1) * (1 - p01) ** (length - 1)
-    assert _burst_occurrence_exact(p1, p_bb, length, 1) == pytest.approx(
-        1 - no_loss, rel=1e-12)
-    # threshold beyond the horizon is impossible
-    assert _burst_occurrence_exact(p1, p_bb, 5, 6) == 0.0
 
 
 # --- CSV emission ------------------------------------------------------------

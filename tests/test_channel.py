@@ -32,7 +32,6 @@ from agvlink import (
     outage_probability,
     phi_variable,
     sample_fading_gains,
-    sample_markov_outages,
     sample_outage_sequence,
     snr_threshold,
     spectral_efficiency,
@@ -77,6 +76,12 @@ def test_snr_threshold_values():
         snr_threshold(-0.1, 10.0)
     with pytest.raises(ParameterError):
         snr_threshold(1.0, 0.0)
+    # a threshold that is not finite is refused: 2**R overflows at a
+    # nanosecond slot, and a subnormal SNR overflows the division
+    with pytest.raises(ParameterError, match="not finite"):
+        snr_threshold(spectral_efficiency(624, 50, 1e-9, 10e6), 10.0)
+    with pytest.raises(ParameterError, match="not finite"):
+        snr_threshold(3.12, 1e-320)
 
 
 def test_outage_probability_rayleigh():
@@ -174,6 +179,12 @@ def test_back_to_back_limits():
     assert back_to_back_prob(0.7693878389952673, RHO_LIMIT) > 0.999
     # the sign of rho is irrelevant: envelope statistics see rho^2
     assert back_to_back_prob(0.5, -0.4) == back_to_back_prob(0.5, 0.4)
+
+
+def test_back_to_back_rejects_nan():
+    # an infinite threshold makes the Marcum terms NaN, which is no probability
+    with pytest.raises(NumericConsistencyError):
+        back_to_back_prob(math.inf, 0.5)
 
 
 def test_back_to_back_matches_mpmath_at_rho_limit():
@@ -379,27 +390,3 @@ def test_sample_outage_sequence_rate():
     p1 = outage_probability(gamma)
     sigma = math.sqrt(p1 * (1 - p1) / n)
     assert abs(losses.mean() - p1) < 3 * sigma
-
-
-def test_sample_markov_outages_statistics():
-    p1, p_bb, n = 0.2, 0.7, 400_000
-    seq = sample_markov_outages(p1, p_bb, n, seed=3)
-    sigma1 = math.sqrt(p1 * (1 - p1) / n)
-    # the chain mixes fast here; inflate the iid band a little for correlation
-    assert abs(seq.mean() - p1) < 5 * sigma1
-    prev, cur = seq[:-1], seq[1:]
-    cond = int(prev.sum())
-    freq = float((prev & cur).sum()) / cond
-    sigma_bb = math.sqrt(p_bb * (1 - p_bb) / cond)
-    assert abs(freq - p_bb) < 3 * sigma_bb
-    assert np.array_equal(seq, sample_markov_outages(p1, p_bb, n, seed=3))
-
-
-def test_sample_markov_outages_rejects_bad_inputs():
-    with pytest.raises(ParameterError):
-        sample_markov_outages(1.0, 0.5, 10, seed=1)
-    with pytest.raises(ParameterError):
-        sample_markov_outages(0.5, 0.5, 0, seed=1)
-    # p1 high and p_bb low forces P(loss | clear) above one
-    with pytest.raises(ParameterError):
-        sample_markov_outages(0.9, 0.0, 10, seed=1)

@@ -4,7 +4,7 @@ Everything runs through `main(argv)` in-process so exit codes and the exact
 stdout/stderr bytes are observable; no subprocesses needed.
 """
 
-import math
+from dataclasses import replace
 
 import pytest
 
@@ -19,13 +19,7 @@ from agvlink import (
     build_reference_track,
     outage_tolerance,
 )
-from agvlink.cli import (
-    ConfigError,
-    emit_config,
-    load_config,
-    main,
-    parse_config,
-)
+from agvlink.cli import ConfigError, load_config, main
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -44,7 +38,7 @@ def test_load_config_defaults():
 
 
 def test_parse_config_empty_file_is_defaults(tmp_path):
-    assert parse_config(write(tmp_path, "")) == ScenarioConfig()
+    assert load_config(write(tmp_path, "")).scenario == ScenarioConfig()
 
 
 def test_parse_config_conversions(tmp_path):
@@ -57,11 +51,26 @@ payload_bytes = 39
 ts_ms = 2.5
 trace_time_s = 200.0
 """
-    cfg = parse_config(write(tmp_path, text))
+    cfg = load_config(write(tmp_path, text)).scenario
     assert cfg.link.avg_snr == pytest.approx(100.0, rel=1e-15)
     assert cfg.link.payload_bits == 312
     assert cfg.ts == pytest.approx(2.5e-3, rel=1e-15)
     assert cfg.trace_time == 200.0
+    # the lossless spellings are read back bit for bit
+    text = """
+[link]
+bandwidth_hz = 20000000.0
+num_agvs = 7
+snr_linear = 3.7
+carrier_freq_hz = 2400000000.0
+
+[sim]
+ts_s = 0.0025
+"""
+    cfg = load_config(write(tmp_path, text)).scenario
+    assert cfg.link == replace(ScenarioConfig().link, bandwidth_hz=2e7,
+                               num_agvs=7, avg_snr=3.7, carrier_freq_hz=2.4e9)
+    assert cfg.ts == 0.0025
 
 
 def test_parse_config_ellipse_and_gains(tmp_path):
@@ -75,6 +84,7 @@ k_theta_per_m = 0.2
 shape = ellipse
 semi_axis_a_m = 350.0
 semi_axis_b_m = 200.0
+start_angle_rad = 0.25
 direction = cw
 
 [sim]
@@ -82,10 +92,11 @@ phi_convention = paper_literal
 margin = 0.001
 seed = 42
 """
-    cfg = parse_config(write(tmp_path, text))
+    cfg = load_config(write(tmp_path, text)).scenario
     assert cfg.gains == Gains(k_x=5.0, k_y=0.01, k_theta=0.2)
     assert cfg.track.shape == "ellipse"
     assert cfg.track.semi_axis_b == 200.0
+    assert cfg.track.start_angle == 0.25
     assert cfg.track.direction == "cw"
     assert cfg.phi_convention == "paper_literal"
     assert cfg.margin == 1e-3
@@ -105,48 +116,34 @@ trace_grid_s = 20, 100
 
 def test_parse_config_rejects_unknown_key(tmp_path):
     with pytest.raises(ConfigError, match=r"link\.bandwidth_mhz"):
-        parse_config(write(tmp_path, "[link]\nbandwidth_mhz = 10\n"))
+        load_config(write(tmp_path, "[link]\nbandwidth_mhz = 10\n"))
     with pytest.raises(ConfigError, match=r"\[made_up\]"):
-        parse_config(write(tmp_path, "[made_up]\nfoo = 1\n"))
+        load_config(write(tmp_path, "[made_up]\nfoo = 1\n"))
 
 
 def test_parse_config_mutual_exclusions(tmp_path):
     with pytest.raises(ConfigError, match="mutually exclusive"):
-        parse_config(write(tmp_path,
-                           "[link]\nsnr_db = 10\nsnr_linear = 10\n"))
+        load_config(write(tmp_path,
+                          "[link]\nsnr_db = 10\nsnr_linear = 10\n"))
     with pytest.raises(ConfigError, match="mutually exclusive"):
-        parse_config(write(tmp_path, "[sim]\nts_s = 0.001\nts_ms = 1\n"))
+        load_config(write(tmp_path, "[sim]\nts_s = 0.001\nts_ms = 1\n"))
 
 
 def test_parse_config_rejects_bad_values(tmp_path):
     with pytest.raises(ConfigError, match=r"link\.bandwidth_hz"):
-        parse_config(write(tmp_path, "[link]\nbandwidth_hz = 0\n"))
+        load_config(write(tmp_path, "[link]\nbandwidth_hz = 0\n"))
     with pytest.raises(ConfigError, match="must be a number"):
-        parse_config(write(tmp_path, "[sim]\ntrace_time_s = fast\n"))
+        load_config(write(tmp_path, "[sim]\ntrace_time_s = fast\n"))
     with pytest.raises(ConfigError, match="must be an integer"):
-        parse_config(write(tmp_path, "[sim]\nseed = 1.5\n"))
+        load_config(write(tmp_path, "[sim]\nseed = 1.5\n"))
     with pytest.raises(ConfigError, match=r"sim\.seed must be >= 0"):
-        parse_config(write(tmp_path, "[sim]\nseed = -5\n"))
+        load_config(write(tmp_path, "[sim]\nseed = -5\n"))
     with pytest.raises(ConfigError, match="must be one of"):
-        parse_config(write(tmp_path, "[track]\nshape = square\n"))
+        load_config(write(tmp_path, "[track]\nshape = square\n"))
     with pytest.raises(ConfigError, match="must be one of"):
-        parse_config(write(tmp_path, "[sim]\nphi_convention = bogus\n"))
+        load_config(write(tmp_path, "[sim]\nphi_convention = bogus\n"))
     with pytest.raises(ConfigError, match="cannot read"):
-        parse_config(str(tmp_path / "missing.ini"))
-
-
-def test_emit_config_round_trip(tmp_path):
-    for cfg in (ScenarioConfig(),
-                ScenarioConfig(
-                    link=ScenarioConfig().link,
-                    gains=Gains(k_x=3.0, k_y=0.011, k_theta=0.07),
-                    track=TrackSpec(shape="ellipse", semi_axis_a=120.0,
-                                    semi_axis_b=45.0, start_angle=0.25,
-                                    direction="cw"),
-                    ts=2.5e-3, trace_time=333.0,
-                    phi_convention="paper_literal", margin=1e-4, seed=99)):
-        text = emit_config(cfg)
-        assert parse_config(write(tmp_path, text)) == cfg
+        load_config(str(tmp_path / "missing.ini"))
 
 
 # --- exit codes --------------------------------------------------------------
@@ -175,6 +172,10 @@ def test_main_config_error_is_exit_2(tmp_path, capsys):
     path = write(tmp_path, "[link]\nwat = 1\n")
     assert main(["nmax", "--config", path]) == 2
     assert "link.wat" in capsys.readouterr().err
+    # a subnormal linear SNR passes the key check; its threshold is refused
+    path = write(tmp_path, "[link]\nsnr_linear = 1e-320\n")
+    assert main(["channel", "--config", path]) == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_main_bad_flag_values_exit_2(capsys):
@@ -200,6 +201,12 @@ def test_main_bad_flag_values_exit_2(capsys):
     assert main(["sweep-ts", "--grid-ms", "1,nan", "--trace-time-s", "2"]) == 2
     assert main(["sweep-trace", "--grid-s", "2,inf"]) == 2
     assert "grid values must be positive and finite" in capsys.readouterr().err
+    # a period so short that the lap has no finite step count, and one whose
+    # rate overflows 2**R, are refused rather than failing in the arithmetic
+    assert main(["nmax", "--ts-ms", "1e-320"]) == 2
+    assert "not a finite step count" in capsys.readouterr().err
+    assert main(["channel", "--ts-ms", "1e-6", "--velocity-mps", "1"]) == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_snr_db_flag_too_large_exits_2(capsys):
@@ -216,19 +223,26 @@ def test_snr_db_config_key_too_large_exits_2(tmp_path, capsys):
     assert "link.snr_db" in capsys.readouterr().err
 
 
-def test_snr_db_flag_too_small_exits_2(capsys):
-    # 10 ** (-4000 / 10) underflows to 0; the flag is refused by name
-    assert main(["channel", "--snr-db", "-4000"]) == 2
-    err = capsys.readouterr().err
-    assert "--snr-db" in err and "too small" in err
+def test_snr_db_flag_too_small_exits_2(tmp_path, capsys):
+    # 10 ** (-4000 / 10) underflows to 0 and 10 ** (-3200 / 10) to a
+    # subnormal; the flag is refused by name before any output is opened
+    out = tmp_path / "x.csv"
+    for snr_db in ("-4000", "-3200"):
+        assert main(["channel", "--snr-db", snr_db, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--snr-db" in err and "too small" in err
+        assert not out.exists()
 
 
 def test_snr_db_config_key_too_small_exits_2(tmp_path, capsys):
-    path = write(tmp_path, "[link]\nsnr_db = -4000\n")
-    with pytest.raises(ConfigError, match=r"link\.snr_db is too small"):
-        load_config(path)
-    assert main(["channel", "--config", path]) == 2
-    assert "link.snr_db" in capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    for snr_db in ("-4000", "-3200"):
+        path = write(tmp_path, f"[link]\nsnr_db = {snr_db}\n")
+        with pytest.raises(ConfigError, match=r"link\.snr_db is too small"):
+            load_config(path)
+        assert main(["channel", "--config", path, "--out", str(out)]) == 2
+        assert "link.snr_db" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_main_internal_failure_is_exit_3(monkeypatch, capsys):
