@@ -98,6 +98,7 @@ class SweepRow:
     p_us: float
     log10_p_us: float
     flags: str
+    message: str = ""   # why an error row failed; not a CSV column
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,8 @@ def _sweep_point(cfg: ScenarioConfig, axis_field: str, value: float) -> SweepRow
                         nu_max_mps=math.nan, rho=math.nan, p1=math.nan,
                         p_bb=math.nan, n_max=-1, p_us=math.nan,
                         log10_p_us=math.nan,
-                        flags=f"error:{type(exc).__name__}")
+                        flags=f"error:{type(exc).__name__}",
+                        message=str(exc))
 
 
 def sweep_sampling_time(cfg: ScenarioConfig,

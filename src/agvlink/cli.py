@@ -3,13 +3,14 @@
 Config files are INI with unit-suffixed keys; every key is optional and
 falls back to the built-in factory defaults (10 MHz shared by 50 vehicles,
 78-byte commands, 10 dB average SNR, gains 10 / 0.0064 / 0.16, circular
-350 m track traced in 500 s at 1 ms slots):
+350 m track traced in 500 s at 1 ms slots). This file spells them all out:
 
     [link]
     bandwidth_hz = 10000000.0
     num_agvs = 50
     payload_bytes = 78.0
-    snr_db = 10.0            ; or snr_linear = 10.0 (not both)
+    ; or snr_linear = 10.0 (not both); flag --snr-db
+    snr_db = 10.0
     carrier_freq_hz = 5900000000.0
 
     [gains]
@@ -18,27 +19,39 @@ falls back to the built-in factory defaults (10 MHz shared by 50 vehicles,
     k_theta_per_m = 0.16
 
     [track]
-    shape = circle           ; or ellipse
+    ; or ellipse
+    shape = circle
     semi_axis_a_m = 350.0
-    semi_axis_b_m = 200.0    ; ellipse only
+    ; ellipse only; defaults to semi_axis_a_m
+    ; semi_axis_b_m = 200.0
     start_angle_rad = 3.141592653589793
-    direction = ccw          ; or cw
+    ; or cw
+    direction = ccw
 
     [sim]
-    ts_s = 0.001             ; or ts_ms = 1.0 (not both)
+    ; or ts_ms = 1.0 (not both); flag --ts-ms
+    ts_s = 0.001
+    ; flag --trace-time-s
     trace_time_s = 500.0
+    ; or paper_literal; flag --phi-convention
     phi_convention = zorzi_sqrt
+    ; 0 <= margin < 1; flag --margin
     margin = 0.0
+    ; flag --seed
     seed = 12345
 
     [sweep]
-    ts_grid_ms = 1.0, 1.5, 2.0
+    ; defaults to 1 to 10 ms in steps of 0.5; flag --grid-ms
+    ; ts_grid_ms = 1.0, 1.5, 2.0
+    ; flag --grid-s
     trace_grid_s = 20, 100, 333, 500, 1000
 
 Unknown sections or keys are rejected with a diagnostic naming the key.
-Command-line flags override file values, which override defaults. Exit
-codes: 0 success (including sweeps with flagged failure rows), 2 for
-configuration or usage errors, 3 for internal consistency violations.
+Each flag shared by the subcommands is the key it names: the same parser
+checks both, and the flag's value replaces the file's, whichever spelling
+the file used. Exit codes: 0 success (including sweeps with flagged failure
+rows, each also reported on standard error), 2 for configuration or usage
+errors, 3 for internal consistency violations.
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,16 +99,76 @@ class ConfigError(ParameterError):
     """Invalid or unknown configuration content."""
 
 
-_SCHEMA = {
-    "link": ("bandwidth_hz", "num_agvs", "payload_bytes", "snr_db",
-             "snr_linear", "carrier_freq_hz"),
-    "gains": ("k_x_per_s", "k_y_per_m", "k_theta_per_m"),
-    "track": ("shape", "semi_axis_a_m", "semi_axis_b_m", "start_angle_rad",
-              "direction"),
-    "sim": ("ts_s", "ts_ms", "trace_time_s", "phi_convention", "margin",
-            "seed"),
-    "sweep": ("ts_grid_ms", "trace_grid_s"),
-}
+def _number(raw: str, name: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{name} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _positive(raw: str, name: str) -> float:
+    value = _number(raw, name)
+    if value <= 0.0:
+        raise ConfigError(f"{name} must be > 0, got {value}")
+    return value
+
+
+def _margin(raw: str, name: str) -> float:
+    value = _number(raw, name)
+    if not 0.0 <= value < 1.0:
+        raise ConfigError(f"{name} must lie in [0, 1), got {value}")
+    return value
+
+
+def _payload_bits(raw: str, name: str) -> int:
+    bits = int(round(8.0 * _positive(raw, name)))
+    if bits < 1:
+        raise ConfigError(f"{name} must round to >= 1 bit")
+    return bits
+
+
+def _snr_db(raw: str, name: str) -> float:
+    snr_db = _number(raw, name)
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large, got {snr_db} dB") from None
+    if snr < sys.float_info.min:    # underflow to zero or a subnormal
+        raise ConfigError(f"{name} is too small, got {snr_db} dB")
+    return snr
+
+
+def _integer(minimum: int):
+    def parse(raw: str, name: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+        if value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _choice(*choices: str):
+    def parse(raw: str, name: str) -> str:
+        if raw not in choices:
+            raise ConfigError(f"{name} must be one of {choices}, got {raw!r}")
+        return raw
+    return parse
+
+
+def _grid(scale: float):
+    def parse(raw: str, name: str) -> tuple[float, ...]:
+        try:
+            return tuple(float(tok) * scale for tok in raw.split(","))
+        except ValueError:
+            raise ConfigError(f"{name} must be a comma-separated number list, "
+                              f"got {raw!r}") from None
+    return parse
 
 
 @dataclass(frozen=True)
@@ -107,75 +180,50 @@ class CliConfig:
     trace_grid: tuple[float, ...] = DEFAULT_TRACE_GRID
 
 
-def _float_key(section: dict, sec: str, key: str, default: float, *,
-               positive: bool = False, nonnegative: bool = False) -> float:
-    raw = section.get(key)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{sec}.{key} must be a number, got {raw!r}") from None
-    if positive and value <= 0.0:
-        raise ConfigError(f"{sec}.{key} must be > 0, got {value}")
-    if nonnegative and value < 0.0:
-        raise ConfigError(f"{sec}.{key} must be >= 0, got {value}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{sec}.{key} must be finite, got {value}")
-    return value
+# section -> key -> (dataclass, field, parser); two keys naming one field are
+# alternative spellings of it, and a file may give only one of them
+_SCHEMA = {
+    "link": {"bandwidth_hz": (LinkParams, "bandwidth_hz", _positive),
+             "num_agvs": (LinkParams, "num_agvs", _integer(1)),
+             "payload_bytes": (LinkParams, "payload_bits", _payload_bits),
+             "snr_db": (LinkParams, "avg_snr", _snr_db),
+             "snr_linear": (LinkParams, "avg_snr", _positive),
+             "carrier_freq_hz": (LinkParams, "carrier_freq_hz", _positive)},
+    "gains": {"k_x_per_s": (Gains, "k_x", _positive),
+              "k_y_per_m": (Gains, "k_y", _positive),
+              "k_theta_per_m": (Gains, "k_theta", _positive)},
+    "track": {"shape": (TrackSpec, "shape", _choice("circle", "ellipse")),
+              "semi_axis_a_m": (TrackSpec, "semi_axis_a", _positive),
+              "semi_axis_b_m": (TrackSpec, "semi_axis_b", _positive),
+              "start_angle_rad": (TrackSpec, "start_angle", _number),
+              "direction": (TrackSpec, "direction", _choice("ccw", "cw"))},
+    "sim": {"ts_s": (ScenarioConfig, "ts", _positive),
+            "ts_ms": (ScenarioConfig, "ts",
+                      lambda raw, name: _positive(raw, name) * 1e-3),
+            "trace_time_s": (ScenarioConfig, "trace_time", _positive),
+            "phi_convention": (ScenarioConfig, "phi_convention",
+                               _choice(*PHI_CONVENTIONS)),
+            "margin": (ScenarioConfig, "margin", _margin),
+            "seed": (ScenarioConfig, "seed", _integer(0))},
+    "sweep": {"ts_grid_ms": (CliConfig, "ts_grid", _grid(1e-3)),
+              "trace_grid_s": (CliConfig, "trace_grid", _grid(1.0))},
+}
+
+# flag -> the config key it stands for; the flag sets that key's field
+_FLAG_KEYS = {
+    "--ts-ms": ("sim", "ts_ms"),
+    "--trace-time-s": ("sim", "trace_time_s"),
+    "--snr-db": ("link", "snr_db"),
+    "--seed": ("sim", "seed"),
+    "--margin": ("sim", "margin"),
+    "--phi-convention": ("sim", "phi_convention"),
+    "--grid-ms": ("sweep", "ts_grid_ms"),
+    "--grid-s": ("sweep", "trace_grid_s"),
+}
 
 
-def _snr_from_db(snr_db: float, name: str) -> float:
-    try:
-        snr = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        raise ConfigError(f"{name} is too large, got {snr_db} dB") from None
-    if snr < sys.float_info.min:    # underflow to zero or a subnormal
-        raise ConfigError(f"{name} is too small, got {snr_db} dB")
-    return snr
-
-
-def _int_key(section: dict, sec: str, key: str, default: int, *,
-             minimum: int | None = None) -> int:
-    raw = section.get(key)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{sec}.{key} must be an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{sec}.{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _choice_key(section: dict, sec: str, key: str, default: str,
-                choices: tuple[str, ...]) -> str:
-    raw = section.get(key)
-    if raw is None or raw.strip() == "":
-        return default
-    value = raw.strip()
-    if value not in choices:
-        raise ConfigError(f"{sec}.{key} must be one of {choices}, got {value!r}")
-    return value
-
-
-def _grid_key(section: dict, sec: str, key: str,
-              default: tuple[float, ...], scale: float) -> tuple[float, ...]:
-    raw = section.get(key)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        values = tuple(float(tok) * scale for tok in raw.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"{sec}.{key} must be a comma-separated number list, got {raw!r}"
-        ) from None
-    return values
-
-
-def load_config(path: str | None) -> CliConfig:
-    """Read an INI config (or None for pure defaults) into a CliConfig."""
+def _read_values(path: str | None) -> dict:
+    """{(dataclass, field): parsed value} for each non-blank key in the file."""
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
@@ -185,87 +233,39 @@ def load_config(path: str | None) -> CliConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from None
+    values, given = {}, {}
     for sec in parser.sections():
         if sec not in _SCHEMA:
             raise ConfigError(
                 f"unknown config section [{sec}]; expected one of "
                 f"{sorted(_SCHEMA)}")
-        for key in parser[sec]:
+        for key, raw in parser[sec].items():
             if key not in _SCHEMA[sec]:
                 raise ConfigError(
                     f"unknown key {sec}.{key}; accepted keys in [{sec}]: "
                     f"{', '.join(_SCHEMA[sec])}")
-    sections = {sec: dict(parser[sec]) if parser.has_section(sec) else {}
-                for sec in _SCHEMA}
+            cls, field, parse = _SCHEMA[sec][key]
+            name = f"{sec}.{key}"
+            if (cls, field) in given:
+                raise ConfigError(f"{given[cls, field]} and {name} are "
+                                  "mutually exclusive; give one")
+            given[cls, field] = name
+            if raw:
+                values[cls, field] = parse(raw, name)
+    return values
 
-    link_sec = sections["link"]
-    if "snr_db" in link_sec and "snr_linear" in link_sec:
-        raise ConfigError("link.snr_db and link.snr_linear are mutually "
-                          "exclusive; give one")
-    if "snr_db" in link_sec:
-        avg_snr = _snr_from_db(_float_key(link_sec, "link", "snr_db", 10.0),
-                               "link.snr_db")
-    else:
-        avg_snr = _float_key(link_sec, "link", "snr_linear", 10.0,
-                             positive=True)
-    payload_bytes = _float_key(link_sec, "link", "payload_bytes", 78.0,
-                               positive=True)
-    payload_bits = int(round(8.0 * payload_bytes))
-    if payload_bits < 1:
-        raise ConfigError("link.payload_bytes must round to >= 1 bit")
-    link = LinkParams(
-        bandwidth_hz=_float_key(link_sec, "link", "bandwidth_hz", 10e6,
-                                positive=True),
-        num_agvs=_int_key(link_sec, "link", "num_agvs", 50, minimum=1),
-        payload_bits=payload_bits,
-        avg_snr=avg_snr,
-        carrier_freq_hz=_float_key(link_sec, "link", "carrier_freq_hz", 5.9e9,
-                                   positive=True))
 
-    gains_sec = sections["gains"]
-    gains = Gains(
-        k_x=_float_key(gains_sec, "gains", "k_x_per_s", 10.0, positive=True),
-        k_y=_float_key(gains_sec, "gains", "k_y_per_m", 6.4e-3, positive=True),
-        k_theta=_float_key(gains_sec, "gains", "k_theta_per_m", 0.16,
-                           positive=True))
+def _build(values: dict) -> CliConfig:
+    def make(cls, **parts):
+        return cls(**parts, **{f: v for (c, f), v in values.items() if c is cls})
+    return make(CliConfig, scenario=make(
+        ScenarioConfig, link=make(LinkParams), gains=make(Gains),
+        track=make(TrackSpec)))
 
-    track_sec = sections["track"]
-    axis_b_raw = track_sec.get("semi_axis_b_m", "")
-    track = TrackSpec(
-        shape=_choice_key(track_sec, "track", "shape", "circle",
-                          ("circle", "ellipse")),
-        semi_axis_a=_float_key(track_sec, "track", "semi_axis_a_m", 350.0,
-                               positive=True),
-        semi_axis_b=None if axis_b_raw.strip() == "" else _float_key(
-            track_sec, "track", "semi_axis_b_m", 350.0, positive=True),
-        start_angle=_float_key(track_sec, "track", "start_angle_rad", math.pi),
-        direction=_choice_key(track_sec, "track", "direction", "ccw",
-                              ("ccw", "cw")))
 
-    sim_sec = sections["sim"]
-    if "ts_s" in sim_sec and "ts_ms" in sim_sec:
-        raise ConfigError("sim.ts_s and sim.ts_ms are mutually exclusive; "
-                          "give one")
-    if "ts_ms" in sim_sec:
-        ts = _float_key(sim_sec, "sim", "ts_ms", 1.0, positive=True) * 1e-3
-    else:
-        ts = _float_key(sim_sec, "sim", "ts_s", 1e-3, positive=True)
-    scenario = ScenarioConfig(
-        link=link, gains=gains, track=track, ts=ts,
-        trace_time=_float_key(sim_sec, "sim", "trace_time_s", 500.0,
-                              positive=True),
-        phi_convention=_choice_key(sim_sec, "sim", "phi_convention",
-                                   "zorzi_sqrt", PHI_CONVENTIONS),
-        margin=_float_key(sim_sec, "sim", "margin", 0.0, nonnegative=True),
-        seed=_int_key(sim_sec, "sim", "seed", 12345, minimum=0))
-
-    sweep_sec = sections["sweep"]
-    return CliConfig(
-        scenario=scenario,
-        ts_grid=_grid_key(sweep_sec, "sweep", "ts_grid_ms",
-                          DEFAULT_TS_GRID, 1e-3),
-        trace_grid=_grid_key(sweep_sec, "sweep", "trace_grid_s",
-                             DEFAULT_TRACE_GRID, 1.0))
+def load_config(path: str | None) -> CliConfig:
+    """Read an INI config (or None for pure defaults) into a CliConfig."""
+    return _build(_read_values(path))
 
 
 # --- argument parsing --------------------------------------------------------
@@ -285,15 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, out_default=None) -> None:
         p.add_argument("--config", metavar="PATH",
                        help="INI config file (see module docs for schema)")
-        p.add_argument("--ts-ms", type=float, metavar="MS",
+        p.add_argument("--ts-ms", metavar="MS",
                        help="sampling period in milliseconds")
-        p.add_argument("--trace-time-s", type=float, metavar="S",
+        p.add_argument("--trace-time-s", metavar="S",
                        help="time to complete one lap of the track")
-        p.add_argument("--snr-db", type=float, metavar="DB",
+        p.add_argument("--snr-db", metavar="DB",
                        help="average link SNR in dB")
-        p.add_argument("--seed", type=int, metavar="N",
+        p.add_argument("--seed", metavar="N",
                        help="base PRNG seed")
-        p.add_argument("--margin", type=float, metavar="M",
+        p.add_argument("--margin", metavar="M",
                        help="stability margin on the spectral radius, 0 <= M < 1")
         p.add_argument("--phi-convention", choices=PHI_CONVENTIONS,
                        help="Marcum-argument convention for p_bb")
@@ -342,53 +342,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_from_args(args: argparse.Namespace) -> tuple[ScenarioConfig,
-                                                           CliConfig]:
-    cli_cfg = load_config(getattr(args, "config", None))
-    scenario = cli_cfg.scenario
-    overrides = {}
-    if getattr(args, "ts_ms", None) is not None:
-        if not 0.0 < args.ts_ms < math.inf:
-            raise ConfigError(f"--ts-ms must be > 0 and finite, got {args.ts_ms}")
-        overrides["ts"] = args.ts_ms * 1e-3
-    if getattr(args, "trace_time_s", None) is not None:
-        if not 0.0 < args.trace_time_s < math.inf:
-            raise ConfigError("--trace-time-s must be > 0 and finite, "
-                              f"got {args.trace_time_s}")
-        overrides["trace_time"] = args.trace_time_s
-    if getattr(args, "snr_db", None) is not None:
-        if not math.isfinite(args.snr_db):
-            raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
-        overrides["link"] = replace(
-            scenario.link, avg_snr=_snr_from_db(args.snr_db, "--snr-db"))
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "margin", None) is not None:
-        if not 0.0 <= args.margin < 1.0:
-            raise ConfigError("--margin must lie in [0, 1)")
-        overrides["margin"] = args.margin
-    if getattr(args, "phi_convention", None) is not None:
-        overrides["phi_convention"] = args.phi_convention
-    if overrides:
-        scenario = replace(scenario, **overrides)
-    return scenario, cli_cfg
+def _config_from_args(args: argparse.Namespace) -> CliConfig:
+    """The --config file's values, each replaced by its flag where given."""
+    values = _read_values(args.config)
+    for flag, (sec, key) in _FLAG_KEYS.items():
+        raw = getattr(args, flag[2:].replace("-", "_"), None)
+        if raw is not None:
+            cls, field, parse = _SCHEMA[sec][key]
+            values[cls, field] = parse(raw, flag)
+    return _build(values)
 
 
 def _out_handle(args: argparse.Namespace):
     return args.out if args.out is not None else sys.stdout
 
 
-def _parse_flag_grid(raw: str, name: str, scale: float) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) * scale for tok in raw.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"{name} must be a comma-separated number list, got {raw!r}"
-        ) from None
-
-
 def _cmd_nmax(args: argparse.Namespace) -> int:
-    scenario, _ = _scenario_from_args(args)
+    scenario = _config_from_args(args).scenario
     track = build_reference_track(scenario.track, scenario.trace_time,
                                   scenario.ts)
     report = outage_tolerance(track, scenario.gains, scenario.margin)
@@ -399,7 +369,7 @@ def _cmd_nmax(args: argparse.Namespace) -> int:
 
 
 def _cmd_channel(args: argparse.Namespace) -> int:
-    scenario, _ = _scenario_from_args(args)
+    scenario = _config_from_args(args).scenario
     if args.velocity_mps is not None:
         if args.velocity_mps < 0:
             raise ConfigError("--velocity-mps must be >= 0")
@@ -428,28 +398,22 @@ def _cmd_channel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_ts(args: argparse.Namespace) -> int:
-    scenario, cli_cfg = _scenario_from_args(args)
-    grid = cli_cfg.ts_grid
-    if args.grid_ms is not None:
-        grid = _parse_flag_grid(args.grid_ms, "--grid-ms", 1e-3)
-    result = sweep_sampling_time(scenario, grid)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    cfg = _config_from_args(args)
+    if args.command == "sweep-ts":
+        result = sweep_sampling_time(cfg.scenario, cfg.ts_grid)
+    else:
+        result = sweep_trace_time(cfg.scenario, cfg.trace_grid)
     write_sweep_csv(result, _out_handle(args))
-    return 0
-
-
-def _cmd_sweep_trace(args: argparse.Namespace) -> int:
-    scenario, cli_cfg = _scenario_from_args(args)
-    grid = cli_cfg.trace_grid
-    if args.grid_s is not None:
-        grid = _parse_flag_grid(args.grid_s, "--grid-s", 1.0)
-    result = sweep_trace_time(scenario, grid)
-    write_sweep_csv(result, _out_handle(args))
+    for row in result.rows:
+        if row.message:
+            print(f"warning: {result.axis} = {getattr(row, result.axis)!r}: "
+                  f"{row.flags}: {row.message}", file=sys.stderr)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario, _ = _scenario_from_args(args)
+    scenario = _config_from_args(args).scenario
     track = build_reference_track(scenario.track, scenario.trace_time,
                                   scenario.ts)
     steps = args.steps if args.steps is not None else track.n_steps
@@ -481,7 +445,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
-    scenario, _ = _scenario_from_args(args)
+    scenario = _config_from_args(args).scenario
     if args.runs < 1:
         raise ConfigError("--runs must be >= 1")
     result = montecarlo_instability(scenario, args.runs,
@@ -498,8 +462,8 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "nmax": _cmd_nmax,
     "channel": _cmd_channel,
-    "sweep-ts": _cmd_sweep_ts,
-    "sweep-trace": _cmd_sweep_trace,
+    "sweep-ts": _cmd_sweep,
+    "sweep-trace": _cmd_sweep,
     "simulate": _cmd_simulate,
     "montecarlo": _cmd_montecarlo,
 }

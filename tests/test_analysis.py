@@ -155,6 +155,8 @@ def test_sweep_flags_bad_point_instead_of_aborting():
     good, bad = res.rows
     assert not good.flags.startswith("error") and good.n_max >= 0
     assert bad.flags == "error:ParameterError"
+    assert good.message == ""
+    assert "at least one sampling period" in bad.message
     assert bad.n_max == -1
     assert math.isnan(bad.p_us) and math.isnan(bad.rho)
 

@@ -4,6 +4,9 @@ Everything runs through `main(argv)` in-process so exit codes and the exact
 stdout/stderr bytes are observable; no subprocesses needed.
 """
 
+import argparse
+import re
+import textwrap
 from dataclasses import replace
 
 import pytest
@@ -19,7 +22,8 @@ from agvlink import (
     build_reference_track,
     outage_tolerance,
 )
-from agvlink.cli import ConfigError, load_config, main
+from agvlink import cli
+from agvlink.cli import CliConfig, ConfigError, load_config, main
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -32,9 +36,34 @@ def write(tmp_path, text, name="cfg.ini"):
 
 def test_load_config_defaults():
     cfg = load_config(None)
-    assert cfg.scenario == ScenarioConfig()
+    assert cfg == CliConfig(ScenarioConfig())
     assert cfg.ts_grid == DEFAULT_TS_GRID
     assert cfg.trace_grid == DEFAULT_TRACE_GRID
+
+
+def test_docstring_config_block_is_the_defaults(tmp_path):
+    # the INI block in the module docs is a loadable file of the defaults
+    doc = cli.__doc__
+    block = textwrap.dedent(doc[doc.index("    [link]"):doc.index("\nUnknown")])
+    cfg = load_config(write(tmp_path, block))
+    assert cfg.scenario == ScenarioConfig()
+    assert cfg.trace_grid == DEFAULT_TRACE_GRID
+    assert cfg == CliConfig(ScenarioConfig())
+
+
+def test_flags_keys_and_docs_do_not_drift():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = [{opt for action in p._actions for opt in action.option_strings}
+               for p in subparsers.choices.values()]
+    shared = set.intersection(*options) - {"--config", "--out", "-h", "--help"}
+    assert shared <= set(cli._FLAG_KEYS)
+    assert set(cli._FLAG_KEYS) <= set.union(*options)
+    for flag, (sec, key) in cli._FLAG_KEYS.items():
+        assert key in cli._SCHEMA[sec], flag
+    for keys in cli._SCHEMA.values():
+        for key in keys:
+            assert re.search(rf"\b{key}\b", cli.__doc__), key
 
 
 def test_parse_config_empty_file_is_defaults(tmp_path):
@@ -138,6 +167,8 @@ def test_parse_config_rejects_bad_values(tmp_path):
         load_config(write(tmp_path, "[sim]\nseed = 1.5\n"))
     with pytest.raises(ConfigError, match=r"sim\.seed must be >= 0"):
         load_config(write(tmp_path, "[sim]\nseed = -5\n"))
+    with pytest.raises(ConfigError, match=r"sim\.margin must lie in \[0, 1\)"):
+        load_config(write(tmp_path, "[sim]\nmargin = 1.5\n"))
     with pytest.raises(ConfigError, match="must be one of"):
         load_config(write(tmp_path, "[track]\nshape = square\n"))
     with pytest.raises(ConfigError, match="must be one of"):
@@ -185,8 +216,9 @@ def test_main_bad_flag_values_exit_2(capsys):
     assert main(["nmax", "--ts-ms", "-1", "--trace-time-s", "2"]) == 2
     assert main(["nmax", "--margin", "-0.5", "--trace-time-s", "2"]) == 2
     assert main(["montecarlo", "--runs", "0", "--trace-time-s", "2"]) == 2
-    assert main(["montecarlo", "--seed", "-1", "--trace-time-s", "2"]) == 2
     capsys.readouterr()
+    assert main(["montecarlo", "--seed", "-1", "--trace-time-s", "2"]) == 2
+    assert "--seed" in capsys.readouterr().err
     # non-finite periods, lap times and SNRs are refused by name
     for flag, args in (("--ts-ms", ["nmax", "--ts-ms", "nan"]),
                        ("--ts-ms", ["nmax", "--ts-ms", "inf"]),
@@ -318,6 +350,27 @@ def test_flag_overrides_config_file(tmp_path, capsys):
     assert rate == pytest.approx(0.624, rel=1e-12)
 
 
+def test_flag_replaces_either_spelling_of_its_key(tmp_path, capsys):
+    base = ["channel", "--velocity-mps", "4.4"]
+    assert main(base) == 0
+    defaults = capsys.readouterr().out
+    path = write(tmp_path, "[link]\nsnr_linear = 3\n[sim]\nts_s = 0.005\n")
+    assert main(base + ["--config", path, "--ts-ms", "1",
+                        "--snr-db", "10"]) == 0
+    assert capsys.readouterr().out == defaults
+    path = write(tmp_path, "[sweep]\nts_grid_ms = 3, 4\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-ts", "--config", path, "--trace-time-s", "2",
+                 "--grid-ms", "1,2", "--out", str(out)]) == 0
+    lines = [l for l in out.read_text().splitlines()
+             if not l.startswith("#")]
+    assert [float(l.split(",")[0]) for l in lines[1:]] == [1e-3, 2e-3]
+    # the file's value is still checked when a flag replaces it
+    path = write(tmp_path, "[sim]\nmargin = 2\n")
+    assert main(["nmax", "--config", path, "--margin", "0.1"]) == 2
+    assert "sim.margin" in capsys.readouterr().err
+
+
 def test_sweep_ts_flag_grid(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep-ts", "--trace-time-s", "2", "--grid-ms", "1,2",
@@ -338,8 +391,9 @@ def test_sweep_trace_config_grid(tmp_path):
     assert [float(l.split(",")[1]) for l in lines[1:]] == [0.5, 2.0]
 
 
-def test_sweep_with_flagged_row_still_exits_zero(tmp_path):
-    # 2 ms grid point exceeds the 1.5 ms trace; row is flagged, not fatal
+def test_sweep_with_flagged_row_still_exits_zero(tmp_path, capsys):
+    # 2 ms grid point exceeds the 1.5 ms trace; row is flagged, not fatal,
+    # and standard error says which point failed and why
     out = tmp_path / "sweep.csv"
     assert main(["sweep-ts", "--trace-time-s", "0.0015", "--grid-ms", "1,2",
                  "--out", str(out)]) == 0
@@ -347,6 +401,16 @@ def test_sweep_with_flagged_row_still_exits_zero(tmp_path):
              if not l.startswith("#")]
     assert lines[2].split(",")[-1] == "error:ParameterError"
     assert lines[2].split(",")[6] == "-1"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "ts_s = 0.002" in err[0] and "sampling period" in err[0]
+    # a subnormal SNR fails every point; its message is kept
+    path = write(tmp_path, "[link]\nsnr_linear = 1e-320\n")
+    assert main(["sweep-trace", "--config", path, "--grid-s", "20",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].endswith(",error:ParameterError")
+    err = capsys.readouterr().err
+    assert "trace_time_s = 20.0" in err and "not finite" in err
 
 
 def test_simulate_burst_injection(tmp_path):
