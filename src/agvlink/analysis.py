@@ -148,13 +148,11 @@ def instability_probability(cfg: ScenarioConfig) -> PointResult:
     flags: list[str] = []
     if report.n_max == 0:
         flags.append("nmax_zero")
-        p_us = model.p1
-        log10_p_us = math.log10(model.p1) if model.p1 > 0.0 else -math.inf
-    else:
-        p_us = consecutive_outage_prob(report.n_max, model.p1, model.p_bb)
-        log10_p_us = consecutive_outage_log10(report.n_max, model.p1, model.p_bb)
     if report.capped:
         flags.append("nmax_capped")
+    n = max(report.n_max, 1)
+    p_us = consecutive_outage_prob(n, model.p1, model.p_bb)
+    log10_p_us = consecutive_outage_log10(n, model.p1, model.p_bb)
     return PointResult(n_max=report.n_max, p_us=p_us, log10_p_us=log10_p_us,
                        nu_max=nu_max, model=model, report=report,
                        flags=tuple(flags))

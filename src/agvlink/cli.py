@@ -22,7 +22,7 @@ falls back to the built-in factory defaults (10 MHz shared by 50 vehicles,
     ; or ellipse
     shape = circle
     semi_axis_a_m = 350.0
-    ; ellipse only; defaults to semi_axis_a_m
+    ; ellipse only (a circle refuses it); defaults to semi_axis_a_m
     ; semi_axis_b_m = 200.0
     start_angle_rad = 3.141592653589793
     ; or cw
@@ -49,7 +49,10 @@ falls back to the built-in factory defaults (10 MHz shared by 50 vehicles,
 Unknown sections or keys are rejected with a diagnostic naming the key.
 Each flag shared by the subcommands is the key it names: the same parser
 checks both, and the flag's value replaces the file's, whichever spelling
-the file used. Exit codes: 0 success (including sweeps with flagged failure
+the file used. The subcommand-only options (--velocity-mps, --n-list,
+--steps, --burst-start, --burst-len, --runs) go through the same family of
+parsers, so every option is checked once and a bad value is reported with
+its flag's name. Exit codes: 0 success (including sweeps with flagged failure
 rows, each also reported on standard error), 2 for configuration or usage
 errors, 3 for internal consistency violations.
 """
@@ -116,6 +119,13 @@ def _positive(raw: str, name: str) -> float:
     return value
 
 
+def _nonnegative(raw: str, name: str) -> float:
+    value = _number(raw, name)
+    if value < 0.0:
+        raise ConfigError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def _margin(raw: str, name: str) -> float:
     value = _number(raw, name)
     if not 0.0 <= value < 1.0:
@@ -171,6 +181,10 @@ def _grid(scale: float):
     return parse
 
 
+def _counts(raw: str, name: str) -> list[int]:
+    return [_integer(1)(tok, name) for tok in raw.split(",")]
+
+
 @dataclass(frozen=True)
 class CliConfig:
     """Scenario plus the sweep grids that ride along in the [sweep] section."""
@@ -208,19 +222,6 @@ _SCHEMA = {
     "sweep": {"ts_grid_ms": (CliConfig, "ts_grid", _grid(1e-3)),
               "trace_grid_s": (CliConfig, "trace_grid", _grid(1.0))},
 }
-
-# flag -> the config key it stands for; the flag sets that key's field
-_FLAG_KEYS = {
-    "--ts-ms": ("sim", "ts_ms"),
-    "--trace-time-s": ("sim", "trace_time_s"),
-    "--snr-db": ("link", "snr_db"),
-    "--seed": ("sim", "seed"),
-    "--margin": ("sim", "margin"),
-    "--phi-convention": ("sim", "phi_convention"),
-    "--grid-ms": ("sweep", "ts_grid_ms"),
-    "--grid-s": ("sweep", "trace_grid_s"),
-}
-
 
 def _read_values(path: str | None) -> dict:
     """{(dataclass, field): parsed value} for each non-blank key in the file."""
@@ -268,88 +269,44 @@ def load_config(path: str | None) -> CliConfig:
     return _build(_read_values(path))
 
 
-# --- argument parsing --------------------------------------------------------
+# --- command line ------------------------------------------------------------
+
+# flag -> (checker, metavar, help). The checker is the (section, key) of the
+# config key the flag stands for, or the parser of a subcommand-only value;
+# None takes the value as given (a path). A flag without a metavar is a switch.
+_SHARED = {
+    "--config": (None, "PATH", "INI config file (see module docs for schema)"),
+    "--ts-ms": (("sim", "ts_ms"), "MS", "sampling period in milliseconds"),
+    "--trace-time-s": (("sim", "trace_time_s"), "S",
+                       "time to complete one lap of the track"),
+    "--snr-db": (("link", "snr_db"), "DB", "average link SNR in dB"),
+    "--seed": (("sim", "seed"), "N", "base PRNG seed"),
+    "--margin": (("sim", "margin"), "M",
+                 "stability margin on the spectral radius, 0 <= M < 1"),
+    "--phi-convention": (("sim", "phi_convention"),
+                         "{" + ",".join(PHI_CONVENTIONS) + "}",
+                         "Marcum-argument convention for p_bb"),
+    "--out": (None, "PATH", "output CSV path (default: standard output)"),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="agvlink",
-        description="Stability and outage analysis of a cloud-controlled AGV "
-                    "on a fading downlink.",
-        epilog="Precedence: command-line flags override config-file values, "
-               "which override built-in defaults.")
-    parser.add_argument("--version", action="version",
-                        version=f"agvlink {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="subcommand")
+def _parse(args: argparse.Namespace, options: dict) -> CliConfig:
+    """Check each given option under its flag name.
 
-    def common(p: argparse.ArgumentParser, out_default=None) -> None:
-        p.add_argument("--config", metavar="PATH",
-                       help="INI config file (see module docs for schema)")
-        p.add_argument("--ts-ms", metavar="MS",
-                       help="sampling period in milliseconds")
-        p.add_argument("--trace-time-s", metavar="S",
-                       help="time to complete one lap of the track")
-        p.add_argument("--snr-db", metavar="DB",
-                       help="average link SNR in dB")
-        p.add_argument("--seed", metavar="N",
-                       help="base PRNG seed")
-        p.add_argument("--margin", metavar="M",
-                       help="stability margin on the spectral radius, 0 <= M < 1")
-        p.add_argument("--phi-convention", choices=PHI_CONVENTIONS,
-                       help="Marcum-argument convention for p_bb")
-        p.add_argument("--out", metavar="PATH", default=out_default,
-                       help="output CSV path (default: standard output)")
-
-    p = sub.add_parser("nmax", help="largest tolerable loss run on the track")
-    common(p)
-
-    p = sub.add_parser("channel", help="per-slot outage model table")
-    common(p)
-    p.add_argument("--velocity-mps", type=float, metavar="V",
-                   help="vehicle speed for the Doppler term "
-                        "(default: track top speed)")
-    p.add_argument("--n-list", default="1", metavar="N,N,...",
-                   help="loss-run lengths to tabulate (default: 1)")
-
-    p = sub.add_parser("sweep-ts", help="instability sweep over sampling period")
-    common(p)
-    p.add_argument("--grid-ms", metavar="MS,MS,...",
-                   help="sampling-period grid in milliseconds")
-
-    p = sub.add_parser("sweep-trace", help="instability sweep over trace time")
-    common(p)
-    p.add_argument("--grid-s", metavar="S,S,...",
-                   help="trace-time grid in seconds")
-
-    p = sub.add_parser("simulate", help="closed-loop trajectory CSV")
-    common(p)
-    p.add_argument("--steps", type=int, metavar="K",
-                   help="simulation length in samples (default: one lap)")
-    p.add_argument("--burst-start", type=int, metavar="K",
-                   help="start index of a forced loss burst")
-    p.add_argument("--burst-len", type=int, metavar="N",
-                   help="length of the forced loss burst")
-    p.add_argument("--sample-outages", action="store_true",
-                   help="draw losses from the fading model instead")
-
-    p = sub.add_parser("montecarlo", help="empirical instability frequency")
-    common(p)
-    p.add_argument("--runs", type=int, default=100, metavar="R",
-                   help="number of independent traces (default: 100)")
-    p.add_argument("--cosimulate", action="store_true",
-                   help="drive the closed loop with each sampled trace")
-
-    return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    """The --config file's values, each replaced by its flag where given."""
+    A config key's flag replaces the --config file's value for that key's
+    field; any other option's parsed value replaces its string in `args`.
+    """
     values = _read_values(args.config)
-    for flag, (sec, key) in _FLAG_KEYS.items():
-        raw = getattr(args, flag[2:].replace("-", "_"), None)
-        if raw is not None:
-            cls, field, parse = _SCHEMA[sec][key]
+    for flag, (check, _, _) in options.items():
+        dest = flag[2:].replace("-", "_")
+        raw = getattr(args, dest)
+        if check is None or raw is None:
+            continue
+        if isinstance(check, tuple):
+            cls, field, parse = _SCHEMA[check[0]][check[1]]
             values[cls, field] = parse(raw, flag)
+        else:
+            setattr(args, dest, check(raw, flag))
     return _build(values)
 
 
@@ -357,8 +314,8 @@ def _out_handle(args: argparse.Namespace):
     return args.out if args.out is not None else sys.stdout
 
 
-def _cmd_nmax(args: argparse.Namespace) -> int:
-    scenario = _config_from_args(args).scenario
+def _cmd_nmax(cfg: CliConfig, args: argparse.Namespace) -> int:
+    scenario = cfg.scenario
     track = build_reference_track(scenario.track, scenario.trace_time,
                                   scenario.ts)
     report = outage_tolerance(track, scenario.gains, scenario.margin)
@@ -368,23 +325,14 @@ def _cmd_nmax(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_channel(args: argparse.Namespace) -> int:
-    scenario = _config_from_args(args).scenario
+def _cmd_channel(cfg: CliConfig, args: argparse.Namespace) -> int:
+    scenario = cfg.scenario
     if args.velocity_mps is not None:
-        if args.velocity_mps < 0:
-            raise ConfigError("--velocity-mps must be >= 0")
         velocity = args.velocity_mps
     else:
         track = build_reference_track(scenario.track, scenario.trace_time,
                                       scenario.ts)
         velocity = track.max_speed
-    try:
-        n_list = [int(tok) for tok in args.n_list.split(",")]
-    except ValueError:
-        raise ConfigError(f"--n-list must be comma-separated integers, "
-                          f"got {args.n_list!r}") from None
-    if any(n < 1 for n in n_list):
-        raise ConfigError("--n-list entries must be >= 1")
     model = build_outage_model(scenario.link, scenario.ts, velocity,
                                scenario.phi_convention)
     rate = spectral_efficiency(scenario.link.payload_bits,
@@ -392,14 +340,13 @@ def _cmd_channel(args: argparse.Namespace) -> int:
                                scenario.link.bandwidth_hz)
     rows = [(n, rate, model.gamma_th, model.rho, model.phi, model.p1,
              model.p_bb, consecutive_outage_prob(n, model.p1, model.p_bb))
-            for n in n_list]
+            for n in args.n_list or [1]]
     write_table(_out_handle(args),
                 ["n", "R", "gamma_th", "rho", "phi", "P1", "Pbb", "Pe(n)"], rows)
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+def _cmd_sweep(cfg: CliConfig, args: argparse.Namespace) -> int:
     if args.command == "sweep-ts":
         result = sweep_sampling_time(cfg.scenario, cfg.ts_grid)
     else:
@@ -412,13 +359,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _config_from_args(args).scenario
+def _cmd_simulate(cfg: CliConfig, args: argparse.Namespace) -> int:
+    scenario = cfg.scenario
     track = build_reference_track(scenario.track, scenario.trace_time,
                                   scenario.ts)
     steps = args.steps if args.steps is not None else track.n_steps
-    if steps < 1:
-        raise ConfigError("--steps must be >= 1")
     if args.sample_outages and (args.burst_len is not None
                                 or args.burst_start is not None):
         raise ConfigError("--sample-outages excludes --burst-len and "
@@ -431,10 +376,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         schedule = np.zeros(steps, dtype=bool)
         if args.burst_len is not None:
-            if args.burst_len < 1:
-                raise ConfigError("--burst-len must be >= 1")
             start = args.burst_start if args.burst_start is not None else 1
-            if start < 0 or start >= steps:
+            if start >= steps:
                 raise ConfigError("--burst-start must lie inside the run")
             schedule[start:start + args.burst_len] = True
         elif args.burst_start is not None:
@@ -444,11 +387,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_montecarlo(args: argparse.Namespace) -> int:
-    scenario = _config_from_args(args).scenario
-    if args.runs < 1:
-        raise ConfigError("--runs must be >= 1")
-    result = montecarlo_instability(scenario, args.runs,
+def _cmd_montecarlo(cfg: CliConfig, args: argparse.Namespace) -> int:
+    result = montecarlo_instability(cfg.scenario, args.runs or 100,
                                     cosimulate=args.cosimulate)
     write_montecarlo_csv(result, _out_handle(args))
     if args.out is not None:
@@ -459,14 +399,55 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     return 0
 
 
+# subcommand -> (handler, help, its own options after the shared ones)
 _COMMANDS = {
-    "nmax": _cmd_nmax,
-    "channel": _cmd_channel,
-    "sweep-ts": _cmd_sweep,
-    "sweep-trace": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "montecarlo": _cmd_montecarlo,
+    "nmax": (_cmd_nmax, "largest tolerable loss run on the track", {}),
+    "channel": (_cmd_channel, "per-slot outage model table", {
+        "--velocity-mps": (_nonnegative, "V",
+                           "vehicle speed for the Doppler term "
+                           "(default: track top speed)"),
+        "--n-list": (_counts, "N,N,...",
+                     "loss-run lengths to tabulate (default: 1)")}),
+    "sweep-ts": (_cmd_sweep, "instability sweep over sampling period", {
+        "--grid-ms": (("sweep", "ts_grid_ms"), "MS,MS,...",
+                      "sampling-period grid in milliseconds")}),
+    "sweep-trace": (_cmd_sweep, "instability sweep over trace time", {
+        "--grid-s": (("sweep", "trace_grid_s"), "S,S,...",
+                     "trace-time grid in seconds")}),
+    "simulate": (_cmd_simulate, "closed-loop trajectory CSV", {
+        "--steps": (_integer(1), "K",
+                    "simulation length in samples (default: one lap)"),
+        "--burst-start": (_integer(0), "K",
+                          "start index of a forced loss burst"),
+        "--burst-len": (_integer(1), "N", "length of the forced loss burst"),
+        "--sample-outages": (None, None,
+                             "draw losses from the fading model instead")}),
+    "montecarlo": (_cmd_montecarlo, "empirical instability frequency", {
+        "--runs": (_integer(1), "R",
+                   "number of independent traces (default: 100)"),
+        "--cosimulate": (None, None,
+                         "drive the closed loop with each sampled trace")}),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="agvlink",
+        description="Stability and outage analysis of a cloud-controlled AGV "
+                    "on a fading downlink.",
+        epilog="Precedence: command-line flags override config-file values, "
+               "which override built-in defaults.")
+    parser.add_argument("--version", action="version",
+                        version=f"agvlink {__version__}")
+    sub = parser.add_subparsers(dest="command", metavar="subcommand")
+    for name, (_, summary, own) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, (_, metavar, text) in {**_SHARED, **own}.items():
+            if metavar is None:
+                p.add_argument(flag, action="store_true", help=text)
+            else:
+                p.add_argument(flag, metavar=metavar, help=text)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -480,8 +461,9 @@ def main(argv=None) -> int:
         print("error: a subcommand is required "
               f"(one of: {', '.join(_COMMANDS)})", file=sys.stderr)
         return 2
+    handler, _, own = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return handler(_parse(args, {**_SHARED, **own}), args)
     except ParameterError as exc:          # includes ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -75,8 +75,10 @@ class TrackSpec:
             raise ParameterError(f"unknown track shape {self.shape!r}")
         if self.direction not in ("ccw", "cw"):
             raise ParameterError(f"unknown track direction {self.direction!r}")
-        b = self.semi_axis_b if self.semi_axis_b is not None else self.semi_axis_a
-        if self.semi_axis_a <= 0.0 or b <= 0.0:
+        if self.shape == "circle" and self.semi_axis_b is not None:
+            raise ParameterError("a circle's radius is semi_axis_a; "
+                                 "semi_axis_b is for an ellipse only")
+        if self.semi_axis_a <= 0.0 or self.axis_b <= 0.0:
             raise ParameterError("track semi-axes must be strictly positive")
 
     @property
@@ -135,19 +137,24 @@ def build_reference_track(spec: TrackSpec, trace_time: float, ts: float) -> Refe
     sign = 1.0 if spec.direction == "ccw" else -1.0
     a, b = spec.semi_axis_a, spec.axis_b
 
-    k = np.arange(n_steps + 1)
-    phi = spec.start_angle + sign * TWO_PI * k / n_steps
     phi_dot = sign * TWO_PI / (n_steps * ts)
-
-    xs = a * np.cos(phi)
-    ys = b * np.sin(phi)
-    x_dot = -a * np.sin(phi) * phi_dot
-    y_dot = b * np.cos(phi) * phi_dot
-    nus = np.hypot(x_dot, y_dot)
-    # curvature rate omega = (x' y'' - y' x'') / nu^2 with the second
-    # derivatives of the constant-rate parametrization
-    omegas = (a * b * phi_dot**3) / (nus * nus)
-    thetas = np.unwrap(np.arctan2(y_dot, x_dot))
+    # an array beyond numpy's largest size (ValueError) or beyond the memory
+    # left (MemoryError) makes the lap too long to sample
+    try:
+        phi = spec.start_angle + sign * TWO_PI * np.arange(n_steps + 1) / n_steps
+        xs = a * np.cos(phi)
+        ys = b * np.sin(phi)
+        x_dot = -a * np.sin(phi) * phi_dot
+        y_dot = b * np.cos(phi) * phi_dot
+        nus = np.hypot(x_dot, y_dot)
+        # curvature rate omega = (x' y'' - y' x'') / nu^2 with the second
+        # derivatives of the constant-rate parametrization
+        omegas = (a * b * phi_dot**3) / (nus * nus)
+        thetas = np.unwrap(np.arctan2(y_dot, x_dot))
+    except (MemoryError, ValueError):
+        raise ParameterError(f"trace_time / ts = {trace_time!r} / {ts!r} "
+                             f"needs {n_steps} steps, too many to "
+                             "sample") from None
 
     return ReferenceTrack(xs=xs, ys=ys, thetas=thetas, nus=nus, omegas=omegas,
                           ts=float(ts), trace_time=float(trace_time), spec=spec)

@@ -54,23 +54,27 @@ def test_docstring_config_block_is_the_defaults(tmp_path):
 def test_flags_keys_and_docs_do_not_drift():
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
-    options = [{opt for action in p._actions for opt in action.option_strings}
-               for p in subparsers.choices.values()]
-    shared = set.intersection(*options) - {"--config", "--out", "-h", "--help"}
-    assert shared <= set(cli._FLAG_KEYS)
-    assert set(cli._FLAG_KEYS) <= set.union(*options)
-    for flag, (sec, key) in cli._FLAG_KEYS.items():
-        assert key in cli._SCHEMA[sec], flag
+    for name, p in subparsers.choices.items():
+        options = {**cli._SHARED, **cli._COMMANDS[name][2]}
+        for action in p._actions:
+            flag = action.option_strings[0]
+            if flag in ("-h", "--config", "--out") or action.nargs == 0:
+                continue
+            check = options[flag][0]
+            assert check is not None, (name, flag)
+            if isinstance(check, tuple):
+                sec, key = check
+                assert key in cli._SCHEMA[sec], (name, flag)
     for keys in cli._SCHEMA.values():
         for key in keys:
             assert re.search(rf"\b{key}\b", cli.__doc__), key
 
 
-def test_parse_config_empty_file_is_defaults(tmp_path):
+def test_load_config_empty_file_is_defaults(tmp_path):
     assert load_config(write(tmp_path, "")).scenario == ScenarioConfig()
 
 
-def test_parse_config_conversions(tmp_path):
+def test_load_config_conversions(tmp_path):
     text = """
 [link]
 snr_db = 20.0
@@ -102,7 +106,7 @@ ts_s = 0.0025
     assert cfg.ts == 0.0025
 
 
-def test_parse_config_ellipse_and_gains(tmp_path):
+def test_load_config_ellipse_and_gains(tmp_path):
     text = """
 [gains]
 k_x_per_s = 5.0
@@ -132,7 +136,7 @@ seed = 42
     assert cfg.seed == 42
 
 
-def test_parse_config_sweep_grids(tmp_path):
+def test_load_config_sweep_grids(tmp_path):
     text = """
 [sweep]
 ts_grid_ms = 1.0, 1.5, 2.0
@@ -143,14 +147,14 @@ trace_grid_s = 20, 100
     assert cfg.trace_grid == (20.0, 100.0)
 
 
-def test_parse_config_rejects_unknown_key(tmp_path):
+def test_load_config_rejects_unknown_key(tmp_path):
     with pytest.raises(ConfigError, match=r"link\.bandwidth_mhz"):
         load_config(write(tmp_path, "[link]\nbandwidth_mhz = 10\n"))
     with pytest.raises(ConfigError, match=r"\[made_up\]"):
         load_config(write(tmp_path, "[made_up]\nfoo = 1\n"))
 
 
-def test_parse_config_mutual_exclusions(tmp_path):
+def test_load_config_mutual_exclusions(tmp_path):
     with pytest.raises(ConfigError, match="mutually exclusive"):
         load_config(write(tmp_path,
                           "[link]\nsnr_db = 10\nsnr_linear = 10\n"))
@@ -158,7 +162,7 @@ def test_parse_config_mutual_exclusions(tmp_path):
         load_config(write(tmp_path, "[sim]\nts_s = 0.001\nts_ms = 1\n"))
 
 
-def test_parse_config_rejects_bad_values(tmp_path):
+def test_load_config_rejects_bad_values(tmp_path):
     with pytest.raises(ConfigError, match=r"link\.bandwidth_hz"):
         load_config(write(tmp_path, "[link]\nbandwidth_hz = 0\n"))
     with pytest.raises(ConfigError, match="must be a number"):
@@ -207,6 +211,11 @@ def test_main_config_error_is_exit_2(tmp_path, capsys):
     path = write(tmp_path, "[link]\nsnr_linear = 1e-320\n")
     assert main(["channel", "--config", path]) == 2
     assert "not finite" in capsys.readouterr().err
+    # a circle takes no second semi-axis
+    path = write(tmp_path, "[track]\nshape = circle\nsemi_axis_b_m = 200\n")
+    assert main(["simulate", "--config", path, "--trace-time-s", "20",
+                 "--ts-ms", "4"]) == 2
+    assert "semi_axis_b is for an ellipse" in capsys.readouterr().err
 
 
 def test_main_bad_flag_values_exit_2(capsys):
@@ -239,6 +248,20 @@ def test_main_bad_flag_values_exit_2(capsys):
     assert "not a finite step count" in capsys.readouterr().err
     assert main(["channel", "--ts-ms", "1e-6", "--velocity-mps", "1"]) == 2
     assert "not finite" in capsys.readouterr().err
+    # laps too long to sample are refused before numpy allocates anything
+    for trace_time in ("1e20", "1e12"):
+        assert main(["nmax", "--trace-time-s", trace_time]) == 2
+        assert "too many to sample" in capsys.readouterr().err
+    # subcommand-only options go through the same parsers, under their names
+    for flag, args in (("--velocity-mps", ["channel", "--velocity-mps", "nan"]),
+                       ("--velocity-mps", ["channel", "--velocity-mps", "inf"]),
+                       ("--runs", ["montecarlo", "--runs", "x"]),
+                       ("--steps", ["simulate", "--steps", "x"]),
+                       ("--burst-len", ["simulate", "--burst-len", "x"]),
+                       ("--n-list", ["channel", "--n-list", "1,x"])):
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert f"error: {flag} must " in err and "usage" not in err, args
 
 
 def test_snr_db_flag_too_large_exits_2(capsys):

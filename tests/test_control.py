@@ -223,8 +223,14 @@ def test_track_invalid_parameters():
                            (math.nan, 1e-3), (math.inf, 1e-3)):
         with pytest.raises(ParameterError):
             build_reference_track(TrackSpec(), trace_time, ts)
+    # laps numpy refuses to allocate (beyond its largest array, and 7 PiB)
+    for trace_time in (1e20, 1e12):
+        with pytest.raises(ParameterError, match=r"trace_time / ts .* too many"):
+            build_reference_track(TrackSpec(), trace_time, 1e-3)
     with pytest.raises(ParameterError):
         TrackSpec(semi_axis_a=-1.0)
+    with pytest.raises(ParameterError, match="semi_axis_b is for an ellipse"):
+        TrackSpec(shape="circle", semi_axis_b=200.0)
     with pytest.raises(ParameterError):
         TrackSpec(shape="square")
     with pytest.raises(ParameterError):
