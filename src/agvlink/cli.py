@@ -84,6 +84,7 @@ from .channel import (
     LinkParams,
     build_outage_model,
     consecutive_outage_prob,
+    doppler_shift,
     sample_outage_sequence,
     spectral_efficiency,
 )
@@ -329,6 +330,10 @@ def _cmd_channel(cfg: CliConfig, args: argparse.Namespace) -> int:
     scenario = cfg.scenario
     if args.velocity_mps is not None:
         velocity = args.velocity_mps
+        f_c = scenario.link.carrier_freq_hz
+        if not math.isfinite(doppler_shift(velocity, f_c)):
+            raise ConfigError(f"--velocity-mps must give a finite Doppler "
+                              f"shift at {f_c} Hz, got {velocity}")
     else:
         track = build_reference_track(scenario.track, scenario.trace_time,
                                       scenario.ts)
@@ -371,17 +376,23 @@ def _cmd_simulate(cfg: CliConfig, args: argparse.Namespace) -> int:
     if args.sample_outages:
         model = build_outage_model(scenario.link, scenario.ts,
                                    track.max_speed, scenario.phi_convention)
-        schedule = sample_outage_sequence(model.rho, model.gamma_th, steps,
-                                          scenario.seed)
-    else:
-        schedule = np.zeros(steps, dtype=bool)
-        if args.burst_len is not None:
-            start = args.burst_start if args.burst_start is not None else 1
-            if start >= steps:
-                raise ConfigError("--burst-start must lie inside the run")
-            schedule[start:start + args.burst_len] = True
-        elif args.burst_start is not None:
-            raise ConfigError("--burst-start requires --burst-len")
+    # a schedule beyond numpy's largest size (ValueError) or beyond the
+    # memory left (MemoryError) makes the run too long to simulate
+    try:
+        schedule = (sample_outage_sequence(model.rho, model.gamma_th, steps,
+                                           scenario.seed)
+                    if args.sample_outages else np.zeros(steps, dtype=bool))
+    except ParameterError:
+        raise
+    except (MemoryError, ValueError):
+        raise ConfigError(f"--steps must fit in memory, got {steps}") from None
+    if args.burst_len is not None:
+        start = args.burst_start if args.burst_start is not None else 1
+        if start >= steps:
+            raise ConfigError("--burst-start must lie inside the run")
+        schedule[start:start + args.burst_len] = True
+    elif args.burst_start is not None:
+        raise ConfigError("--burst-start requires --burst-len")
     traj = simulate_closed_loop(track, scenario.gains, schedule)
     write_trajectory_csv(traj, track, _out_handle(args))
     return 0

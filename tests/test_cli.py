@@ -262,6 +262,19 @@ def test_main_bad_flag_values_exit_2(capsys):
         assert main(args) == 2, args
         err = capsys.readouterr().err
         assert f"error: {flag} must " in err and "usage" not in err, args
+    # values that pass their parser but overflow what they feed: a Doppler
+    # shift, and a loss schedule numpy refuses before it allocates anything
+    huge = str(10 ** 20)
+    for args, want in (
+            (["channel", "--velocity-mps", "1e308"],
+             "--velocity-mps must give a finite Doppler shift at "
+             "5900000000.0 Hz, got 1e+308"),
+            (["simulate", "--trace-time-s", "2", "--steps", huge],
+             f"--steps must fit in memory, got {huge}"),
+            (["simulate", "--trace-time-s", "2", "--steps", huge,
+              "--sample-outages"], f"--steps must fit in memory, got {huge}")):
+        assert main(args) == 2, args
+        assert f"error: {want}" in capsys.readouterr().err, args
 
 
 def test_snr_db_flag_too_large_exits_2(capsys):

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from agvlink import (
     wrap_angle,
     write_trajectory_csv,
 )
+from agvlink import control
 from agvlink.control import TRAJECTORY_COLUMNS
 
 finite_angle = st.floats(-50.0, 50.0)
@@ -365,13 +367,22 @@ def _per_row_trajectory_csv(traj, track, fh):
         ])
 
 
-def test_trajectory_csv_matches_per_row_repr(tiny_track, gains):
-    def lossy(steps):
-        sched = np.zeros(steps, dtype=bool)
-        sched[5::97] = True
-        sched[300:340] = True
-        return sched
+def lossy(steps):
+    sched = np.zeros(steps, dtype=bool)
+    sched[5::97] = True
+    sched[300:340] = True
+    return sched
 
+
+def assert_same_csv(got: str, want: str, rows: int) -> None:
+    # name the first differing line; pytest's diff of a whole run is slow
+    first_bad = next((i for i, (a, b) in enumerate(
+        zip(got.split("\n"), want.split("\n"))) if a != b), None)
+    assert got == want, (rows, first_bad)
+    assert got.count("\n") == rows + 1
+
+
+def test_trajectory_csv_matches_per_row_repr(tiny_track, gains):
     cw = build_reference_track(TrackSpec(semi_axis_a=10.0, direction="cw"),
                                4.0, 5e-3)
     ellipse = build_reference_track(TrackSpec(shape="ellipse",
@@ -397,10 +408,70 @@ def test_trajectory_csv_matches_per_row_repr(tiny_track, gains):
         got, want = io.StringIO(), io.StringIO()
         write_trajectory_csv(traj, track, got)
         _per_row_trajectory_csv(traj, track, want)
-        got, want = got.getvalue(), want.getvalue()
-        # name the first differing line; pytest's diff of a whole run is slow
-        same = got == want
-        first_bad = next((i for i, (a, b) in enumerate(
-            zip(got.split("\n"), want.split("\n"))) if a != b), None)
-        assert same, (len(traj), first_bad)
-        assert got.count("\n") == len(traj) + 1
+        assert_same_csv(got.getvalue(), want.getvalue(), len(traj))
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the platform cannot fork")
+
+
+@pytest.fixture
+def split_run(tiny_track, gains, monkeypatch):
+    """A lossy 6.25-lap run that three processes write, and a list that
+    records each fork. 25 001 rows is a multiple of neither 1024 nor 3."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    traj = simulate_closed_loop(tiny_track, gains, lossy(25_001))
+    assert control._share_count(len(traj)) == 3
+    return traj, forks
+
+
+@needs_fork
+def test_trajectory_csv_split_matches_per_row_repr(tmp_path, tiny_track,
+                                                   split_run):
+    traj, forks = split_run
+    want = io.StringIO()
+    _per_row_trajectory_csv(traj, tiny_track, want)
+    want = want.getvalue()
+    path = tmp_path / "run.csv"
+    write_trajectory_csv(traj, tiny_track, path)
+    assert len(forks) == 2
+    assert_same_csv(path.read_bytes().decode(), want, len(traj))
+    got = io.StringIO()
+    write_trajectory_csv(traj, tiny_track, got)
+    assert len(forks) == 4
+    assert_same_csv(got.getvalue(), want, len(traj))
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_trajectory_csv_split_failure_raises_and_reaps(tiny_track, split_run,
+                                                       monkeypatch, capfd,
+                                                       failing):
+    traj, forks = split_run
+    real_write_rows = control._write_rows
+
+    def write_rows(fh, traj, track, lo, hi):
+        if (lo > 0) == (failing == "child"):
+            raise ValueError("injected")
+        real_write_rows(fh, traj, track, lo, hi)
+
+    monkeypatch.setattr(control, "_write_rows", write_rows)
+    expected = ((RuntimeError, "exited with status 1") if failing == "child"
+                else (ValueError, "injected"))
+    with pytest.raises(expected[0], match=expected[1]):
+        write_trajectory_csv(traj, tiny_track, io.StringIO())
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):    # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    # a failing child reports its own traceback on standard error
+    assert ("ValueError: injected" in capfd.readouterr().err) == (
+        failing == "child")
