@@ -1,8 +1,14 @@
-"""Shared output plumbing for the CSV writers."""
+"""Shared output plumbing for the CSV writers, and the one fork helper that
+splits the trajectory rows or the Monte-Carlo runs over the usable CPUs."""
 
 from __future__ import annotations
 
 import csv
+import os
+import shutil
+import signal
+import tempfile
+import traceback
 from contextlib import contextmanager
 
 
@@ -37,3 +43,81 @@ def write_table(path, header, rows, meta=()) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def share_count(most: int) -> int:
+    """Processes to split work among: at most one per usable CPU and at most
+    `most` (the shares the work is worth), and one where there is no fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # not offered on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, most))
+
+
+def _fork_share(work, lo: int, hi: int):
+    """Fork a child that runs work(file, lo, hi) into a temporary text file.
+
+    Returns (pid, file). The child leaves by `os._exit`, so it flushes no
+    buffer and runs no cleanup of the parent's; it prints the traceback of
+    a failure and exits with status 1.
+    """
+    tmp = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+    try:
+        pid = os.fork()
+    except BaseException:
+        tmp.close()
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            work(tmp, lo, hi)
+            tmp.flush()
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    return pid, tmp
+
+
+def write_shares(fh, items: int, shares: int, work, what: str) -> None:
+    """Write the text of items 0..items-1 to `fh` in order, split over
+    `shares` processes.
+
+    `work(file, lo, hi)` writes the text of items lo..hi-1. The items are cut
+    into `shares` contiguous shares. A forked child runs each share after the
+    first into a temporary file, while this process writes the first straight
+    to `fh`; the children's files are then appended in order, so the text
+    does not depend on the split. `work` must take no lock that another
+    thread could hold at the fork, and its text must not depend on which
+    process runs it. If this process fails, every child is killed; either
+    way every child is reaped, and a child that failed makes this call
+    raise RuntimeError, naming `what` it was doing.
+    """
+    bounds = [items * i // shares for i in range(shares + 1)]
+    children = []       # (pid, temporary file) of shares 1, 2, ...
+    try:
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                children.append(_fork_share(work, lo, hi))
+            work(fh, 0, bounds[1])
+        except BaseException:
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                     for pid, _ in children]
+        for lo, code in zip(bounds[1:], codes):
+            if code != 0:
+                raise RuntimeError(f"the process {what} from {lo} exited "
+                                   f"with status {code}")
+        for _, tmp in children:
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh)
+    finally:
+        for _, tmp in children:
+            tmp.close()

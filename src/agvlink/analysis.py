@@ -20,12 +20,13 @@ the CSV schema keeps the plain probability column.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._io import _fmt, write_table
+from ._io import _fmt, share_count, write_shares, write_table
 from ._version import __version__
 from .channel import (
     PRNG_ID,
@@ -44,6 +45,13 @@ DEFAULT_TS_GRID = tuple((10 + 5 * i) * 1e-4 for i in range(19))   # 1..10 ms ste
 DEFAULT_TRACE_GRID = (20.0, 100.0, 333.0, 500.0, 1000.0)
 
 _Z95 = 1.959963984540054   # two-sided 95% normal quantile
+
+# Fewest outage slots worth a forked share of Monte-Carlo runs: sampling and
+# scanning a slot takes about 0.1 us, so a share this large is about 0.1 s of
+# work against a fork and the reading back of its few lines (2-core x86-64 VM).
+_MIN_SHARE_SLOTS = 1 << 20
+# A co-simulated slot also steps the closed loop, about 3 us: 30 slots' worth.
+_COSIM_SLOT_WEIGHT = 30
 
 
 @dataclass(frozen=True)
@@ -231,6 +239,21 @@ def wilson_interval(successes: int, trials: int,
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _write_runs(out, cfg: ScenarioConfig, model: OutageModel, slots: int,
+                track, lo: int, hi: int) -> None:
+    """Write one line per run lo..hi-1 to `out`: its longest loss run and,
+    with a `track` to drive the closed loop along, `,` and the worst
+    tracking error as its `repr`, which reads back exactly."""
+    for run_id in range(lo, hi):
+        outages = sample_outage_sequence(model.rho, model.gamma_th, slots,
+                                         cfg.seed, stream=run_id)
+        line = str(longest_outage_run(outages))
+        if track is not None:
+            traj = simulate_closed_loop(track, cfg.gains, outages)
+            line += f",{float(np.max(traj.position_error()))!r}"
+        out.write(line + "\n")
+
+
 def montecarlo_instability(cfg: ScenarioConfig, runs: int,
                            cosimulate: bool = False,
                            point: PointResult | None = None) -> MonteCarloResult:
@@ -242,6 +265,13 @@ def montecarlo_instability(cfg: ScenarioConfig, runs: int,
     shortest run the tolerance analysis cannot absorb. With `cosimulate`
     the closed loop is driven by the same loss sequence to record the
     realized worst tracking error; otherwise that column is NaN.
+
+    The runs are split into contiguous shares, at most one per usable CPU
+    and each worth at least `_MIN_SHARE_SLOTS` sampled slots (a co-simulated
+    slot counts `_COSIM_SLOT_WEIGHT`): this process runs the first and a
+    forked child each other (`_io.write_shares`). A child samples, scans and
+    simulates in numpy and Python floats, and calls no BLAS. A run depends
+    only on its index, so the rows do not depend on the split.
     """
     if runs < 1:
         raise ParameterError("runs must be at least 1")
@@ -250,22 +280,21 @@ def montecarlo_instability(cfg: ScenarioConfig, runs: int,
     slots = int(math.ceil(cfg.trace_time / cfg.ts))
     track = build_reference_track(cfg.track, cfg.trace_time, cfg.ts) \
         if cosimulate else None
-    model = point.model
+    work = runs * slots * (_COSIM_SLOT_WEIGHT if cosimulate else 1)
+    text = io.StringIO()
+    write_shares(text, runs, share_count(min(runs, work // _MIN_SHARE_SLOTS)),
+                 lambda out, lo, hi: _write_runs(out, cfg, point.model, slots,
+                                                 track, lo, hi),
+                 "running Monte-Carlo runs")
     rows = []
-    unstable_count = 0
-    for run_id in range(runs):
-        outages = sample_outage_sequence(model.rho, model.gamma_th, slots,
-                                         cfg.seed, stream=run_id)
-        burst = longest_outage_run(outages)
-        unstable = burst >= point.n_max + 1
-        unstable_count += int(unstable)
-        max_err = math.nan
-        if cosimulate:
-            traj = simulate_closed_loop(track, cfg.gains, outages)
-            max_err = float(np.max(traj.position_error()))
-        rows.append(MonteCarloRow(run_id=run_id, seed=cfg.seed,
-                                  max_burst_len=burst, unstable_flag=unstable,
-                                  max_tracking_error_m=max_err))
+    for run_id, line in enumerate(text.getvalue().splitlines()):
+        burst, *max_err = line.split(",")
+        burst = int(burst)
+        rows.append(MonteCarloRow(
+            run_id=run_id, seed=cfg.seed, max_burst_len=burst,
+            unstable_flag=burst >= point.n_max + 1,
+            max_tracking_error_m=float(max_err[0]) if max_err else math.nan))
+    unstable_count = sum(row.unstable_flag for row in rows)
     ci_low, ci_high = wilson_interval(unstable_count, runs)
     return MonteCarloResult(rows=tuple(rows), runs=runs,
                             unstable_count=unstable_count,

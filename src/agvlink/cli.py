@@ -376,8 +376,10 @@ def _cmd_simulate(cfg: CliConfig, args: argparse.Namespace) -> int:
     if args.sample_outages:
         model = build_outage_model(scenario.link, scenario.ts,
                                    track.max_speed, scenario.phi_convention)
-    # a schedule beyond numpy's largest size (ValueError) or beyond the
-    # memory left (MemoryError) makes the run too long to simulate
+    # a schedule (1 byte per step) beyond numpy's largest size (ValueError)
+    # or beyond the memory left (MemoryError), or a trajectory (65 bytes per
+    # step) beyond the memory left, makes the run too long to simulate
+    too_long = f"--steps must fit in memory, got {steps}"
     try:
         schedule = (sample_outage_sequence(model.rho, model.gamma_th, steps,
                                            scenario.seed)
@@ -385,7 +387,7 @@ def _cmd_simulate(cfg: CliConfig, args: argparse.Namespace) -> int:
     except ParameterError:
         raise
     except (MemoryError, ValueError):
-        raise ConfigError(f"--steps must fit in memory, got {steps}") from None
+        raise ConfigError(too_long) from None
     if args.burst_len is not None:
         start = args.burst_start if args.burst_start is not None else 1
         if start >= steps:
@@ -393,7 +395,10 @@ def _cmd_simulate(cfg: CliConfig, args: argparse.Namespace) -> int:
         schedule[start:start + args.burst_len] = True
     elif args.burst_start is not None:
         raise ConfigError("--burst-start requires --burst-len")
-    traj = simulate_closed_loop(track, scenario.gains, schedule)
+    try:
+        traj = simulate_closed_loop(track, scenario.gains, schedule)
+    except MemoryError:
+        raise ConfigError(too_long) from None
     write_trajectory_csv(traj, track, _out_handle(args))
     return 0
 

@@ -24,16 +24,11 @@ error is always measured from the fresh state.
 from __future__ import annotations
 
 import math
-import os
-import shutil
-import signal
-import tempfile
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import csv_sink
+from ._io import csv_sink, share_count, write_shares
 from .exceptions import ParameterError
 
 TWO_PI = 2.0 * math.pi
@@ -305,14 +300,8 @@ TRAJECTORY_COLUMNS = ["k", "t", "x_r", "y_r", "theta_r", "x_c", "y_c", "theta_c"
 
 def _share_count(rows: int) -> int:
     """Processes that format `rows` rows: at most one per usable CPU, each
-    with at least _MIN_SHARE_ROWS of them, and one where there is no fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:      # not offered on every platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, rows // _MIN_SHARE_ROWS))
+    with at least _MIN_SHARE_ROWS of them."""
+    return share_count(rows // _MIN_SHARE_ROWS)
 
 
 def _write_rows(fh, traj: Trajectory, track: ReferenceTrack,
@@ -337,69 +326,20 @@ def _write_rows(fh, traj: Trajectory, track: ReferenceTrack,
         fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
-def _fork_rows(traj: Trajectory, track: ReferenceTrack, lo: int, hi: int):
-    """Fork a child that writes rows lo..hi-1 to a temporary file.
-
-    Returns (pid, file). The child only formats rows: it calls no BLAS and
-    takes no lock that another thread of the parent could have held at the
-    fork. It leaves by `os._exit`, so it flushes no buffer and runs no
-    cleanup of the parent's.
-    """
-    tmp = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-    try:
-        pid = os.fork()
-    except BaseException:
-        tmp.close()
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            _write_rows(tmp, traj, track, lo, hi)
-            tmp.flush()
-            status = 0
-        except BaseException:
-            traceback.print_exc()
-        finally:
-            os._exit(status)
-    return pid, tmp
-
-
 def write_trajectory_csv(traj: Trajectory, track: ReferenceTrack, path) -> None:
     """Write a run to CSV (one row per step, header mandatory, SI units).
 
     Each float is written as its shortest round-trip `repr` and each outage
     flag as 0 or 1. Rows are formatted in blocks of `_CSV_BLOCK_ROWS`, so
     memory does not grow with the length of the run. A long run is split
-    into contiguous shares, one per usable CPU: this process writes the
-    first, and a forked child formats each other share into a temporary
-    file that is then appended in order, so the bytes do not depend on the
-    split. A child that fails makes this call raise.
+    into contiguous shares, one per usable CPU, by `_io.write_shares`: this
+    process writes the first, and a forked child formats each other share,
+    which is appended in order, so the bytes do not depend on the split. A
+    child only formats rows: it calls no BLAS. A child that fails makes this
+    call raise.
     """
-    rows = len(traj)
-    shares = _share_count(rows)
-    bounds = [rows * i // shares for i in range(shares + 1)]
-    children = []       # (pid, temporary file) of shares 1, 2, ...
-    try:
-        with csv_sink(path) as fh:
-            fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-            try:
-                for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                    children.append(_fork_rows(traj, track, lo, hi))
-                _write_rows(fh, traj, track, 0, bounds[1])
-            except BaseException:
-                for pid, _ in children:
-                    os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                         for pid, _ in children]
-            for lo, code in zip(bounds[1:], codes):
-                if code != 0:
-                    raise RuntimeError(f"the process writing trajectory rows "
-                                       f"from {lo} exited with status {code}")
-            for _, tmp in children:
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, fh)
-    finally:
-        for _, tmp in children:
-            tmp.close()
+    with csv_sink(path) as fh:
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+        write_shares(fh, len(traj), _share_count(len(traj)),
+                     lambda out, lo, hi: _write_rows(out, traj, track, lo, hi),
+                     "writing trajectory rows")

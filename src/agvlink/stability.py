@@ -318,10 +318,11 @@ def simulate_delay_stability(track: ReferenceTrack, g: Gains, n: int) -> bool:
     than over the first: a stable loop settles onto its constant standing
     error, an unstable one swings ever wider.
 
-    The run sees only the speeds it passes through. On a short, fast ellipse
-    it can miss a marginal frozen-time instability: on the 350 x 200 m
-    ellipse traced in 20 s at 4 ms it calls lag 18 stable, while the fastest
-    operating point, and so `evaluate_candidate`, finds it unstable.
+    The run sees only the speeds it passes through, which on a short, fast
+    ellipse is a fraction of a lap. On the 350 x 200 m ellipse traced in
+    20 s at 4 ms it calls lag 18 stable, as an 8-lap run confirms, where the
+    frozen-time test (`evaluate_candidate`) is conservative and does not;
+    but it also calls lag 23 stable, where an 8-lap run diverges.
     """
     if n < 0:
         raise ParameterError("delay must be nonnegative")

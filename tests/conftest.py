@@ -1,6 +1,7 @@
 """Shared fixtures and reporting helpers for the test suite."""
 
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -14,6 +15,26 @@ from agvlink import (
     plant_step,
     tracking_error,
 )
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the platform cannot fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Three usable CPUs, and a list that records each fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
 
 
 @pytest.fixture(scope="session")

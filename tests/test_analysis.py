@@ -8,6 +8,7 @@ its own draws, and the Wilson interval against scipy's implementation.
 
 import io
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -32,9 +33,10 @@ from agvlink import (
     write_montecarlo_csv,
     write_sweep_csv,
 )
+from agvlink import analysis
 from agvlink.analysis import MONTECARLO_COLUMNS, SWEEP_COLUMNS
 
-from conftest import close, rel_close
+from conftest import close, needs_fork, rel_close
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +272,54 @@ def test_montecarlo_cosimulate_records_error():
 def test_montecarlo_rejects_bad_runs(short_cfg, short_point):
     with pytest.raises(ParameterError):
         montecarlo_instability(short_cfg, runs=0, point=short_point)
+
+
+@needs_fork
+@pytest.mark.parametrize("cosimulate", [False, True])
+def test_montecarlo_split_matches_one_process(short_cfg, short_point, forks,
+                                              monkeypatch, cosimulate):
+    # 7 runs of 2000 slots are too little work to fork for ...
+    alone = montecarlo_instability(short_cfg, runs=7, cosimulate=cosimulate,
+                                   point=short_point)
+    assert forks == []
+    # ... until every slot is worth a share: 3 shares of 2, 2 and 3 runs
+    monkeypatch.setattr(analysis, "_MIN_SHARE_SLOTS", 1)
+    split = montecarlo_instability(short_cfg, runs=7, cosimulate=cosimulate,
+                                   point=short_point)
+    assert len(forks) == 2
+    assert split == alone
+    assert [r.run_id for r in split.rows] == list(range(7))
+    assert all(math.isnan(r.max_tracking_error_m) != cosimulate
+               for r in split.rows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert montecarlo_instability(short_cfg, runs=7, cosimulate=cosimulate,
+                                  point=short_point) == alone
+    assert len(forks) == 2
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_montecarlo_split_failure_raises_and_reaps(short_cfg, short_point,
+                                                   forks, monkeypatch, capfd,
+                                                   failing):
+    monkeypatch.setattr(analysis, "_MIN_SHARE_SLOTS", 1)
+    real_write_runs = analysis._write_runs
+
+    def write_runs(out, cfg, model, slots, track, lo, hi):
+        if (lo > 0) == (failing == "child"):
+            raise ValueError("injected")
+        real_write_runs(out, cfg, model, slots, track, lo, hi)
+
+    monkeypatch.setattr(analysis, "_write_runs", write_runs)
+    expected = ((RuntimeError, "Monte-Carlo runs from 2 exited with status 1")
+                if failing == "child" else (ValueError, "injected"))
+    with pytest.raises(expected[0], match=expected[1]):
+        montecarlo_instability(short_cfg, runs=7, point=short_point)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):    # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert ("ValueError: injected" in capfd.readouterr().err) == (
+        failing == "child")
 
 
 # --- CSV emission ------------------------------------------------------------

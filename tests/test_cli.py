@@ -1,13 +1,18 @@
 """CLI tests: config ingestion, flag precedence, subcommands, exit codes.
 
 Everything runs through `main(argv)` in-process so exit codes and the exact
-stdout/stderr bytes are observable; no subprocesses needed.
+stdout/stderr bytes are observable. One test runs a subprocess, so that the
+memory limit it lowers is not the test process's own.
 """
 
 import argparse
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +27,10 @@ from agvlink import (
     build_reference_track,
     outage_tolerance,
 )
-from agvlink import cli
+from agvlink import analysis, cli
 from agvlink.cli import CliConfig, ConfigError, load_config, main
+
+from conftest import needs_fork
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -277,6 +284,30 @@ def test_main_bad_flag_values_exit_2(capsys):
         assert f"error: {want}" in capsys.readouterr().err, args
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/statm and relies on RLIMIT_AS")
+def test_simulate_trajectory_beyond_memory_exits_2():
+    # 50 M steps: the loss schedule (50 MB) fits in 1 GiB more than the
+    # child has mapped after its imports, the trajectory (3.25 GB) does not
+    code = textwrap.dedent("""
+        import os, resource, sys
+        from agvlink.cli import main
+        with open("/proc/self/statm") as fh:
+            mapped = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        limit = mapped + (1 << 30)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        sys.exit(main(["simulate", "--trace-time-s", "2",
+                       "--steps", "50000000"]))
+    """)
+    src = str(Path(agvlink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: --steps must fit in memory, got 50000000\n"
+
+
 def test_snr_db_flag_too_large_exits_2(capsys):
     # 10 ** (4000 / 10) overflows a float; the flag is refused by name
     assert main(["channel", "--snr-db", "4000"]) == 2
@@ -500,6 +531,25 @@ def test_montecarlo_summary_and_csv(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "unstable " not in stdout.splitlines()[-1]
     assert "run_id," in stdout
+
+
+@needs_fork
+@pytest.mark.parametrize("cosimulate", [False, True])
+def test_montecarlo_bytes_do_not_depend_on_split(tmp_path, capsys, forks,
+                                                 monkeypatch, cosimulate):
+    args = ["montecarlo", "--runs", "8", "--trace-time-s", "20",
+            *(["--cosimulate"] if cosimulate else [])]
+    out = tmp_path / "mc.csv"
+    # forced on: 3 shares of 2, 3 and 3 runs
+    monkeypatch.setattr(analysis, "_MIN_SHARE_SLOTS", 1)
+    assert main(args + ["--out", str(out)]) == 0
+    split = (out.read_bytes(), capsys.readouterr())
+    assert len(forks) == 2
+    # forced off: one usable CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(args + ["--out", str(out)]) == 0
+    assert (out.read_bytes(), capsys.readouterr()) == split
+    assert len(forks) == 2
 
 
 def test_cli_output_deterministic(tmp_path):

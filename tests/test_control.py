@@ -26,6 +26,8 @@ from agvlink import (
 from agvlink import control
 from agvlink.control import TRAJECTORY_COLUMNS
 
+from conftest import needs_fork
+
 finite_angle = st.floats(-50.0, 50.0)
 small_coord = st.floats(-1e3, 1e3)
 
@@ -411,24 +413,10 @@ def test_trajectory_csv_matches_per_row_repr(tiny_track, gains):
         assert_same_csv(got.getvalue(), want.getvalue(), len(traj))
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
-                                reason="the platform cannot fork")
-
-
 @pytest.fixture
-def split_run(tiny_track, gains, monkeypatch):
+def split_run(tiny_track, gains, forks):
     """A lossy 6.25-lap run that three processes write, and a list that
     records each fork. 25 001 rows is a multiple of neither 1024 nor 3."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                        raising=False)
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
     traj = simulate_closed_loop(tiny_track, gains, lossy(25_001))
     assert control._share_count(len(traj)) == 3
     return traj, forks
