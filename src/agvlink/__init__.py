@@ -71,7 +71,6 @@ from .stability import (
     StabilityReport,
     evaluate_candidate,
     outage_tolerance,
-    simulate_delay_stability,
     write_stability_csv,
 )
 
@@ -83,7 +82,7 @@ __all__ = [
     "simulate_closed_loop", "wrap_angle", "write_trajectory_csv",
     # stability
     "CandidateScan", "StabilityReport", "evaluate_candidate",
-    "outage_tolerance", "simulate_delay_stability", "write_stability_csv",
+    "outage_tolerance", "write_stability_csv",
     # channel
     "LinkParams", "OutageModel", "spectral_efficiency", "snr_threshold",
     "outage_probability", "doppler_shift", "fading_correlation",

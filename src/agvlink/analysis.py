@@ -318,8 +318,7 @@ def _flatten_config(value: dict, prefix: str = "") -> list[tuple[str, str]]:
         if isinstance(sub, dict):
             out += _flatten_config(sub, f"{prefix}{name}.")
         else:
-            out.append((prefix + name,
-                        repr(sub) if isinstance(sub, float) else str(sub)))
+            out.append((prefix + name, _fmt(sub)))
     return out
 
 

@@ -433,8 +433,9 @@ _COMMANDS = {
     "simulate": (_cmd_simulate, "closed-loop trajectory CSV", {
         "--steps": (_integer(1), "K",
                     "simulation length in samples (default: one lap)"),
-        "--burst-start": (_integer(0), "K",
-                          "start index of a forced loss burst"),
+        "--burst-start": (_integer(1), "K",
+                          "start index of a forced loss burst, >= 1 "
+                          "(default: 1)"),
         "--burst-len": (_integer(1), "N", "length of the forced loss burst"),
         "--sample-outages": (None, None,
                              "draw losses from the fading model instead")}),

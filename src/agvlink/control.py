@@ -16,9 +16,8 @@ which the vehicle integrates with a forward-Euler step of period ts.
 `tracking_error`, `control_law` and `plant_step` are these three equations on
 plain floats, and the closed-loop simulator steps by calling them. Commands
 travel over a lossy downlink: on a lost packet the vehicle keeps applying the
-last delivered command (zero-order hold). The simulator can also deliver
-every command a fixed number of samples late. The uplink is ideal, so the
-error is always measured from the fresh state.
+last delivered command (zero-order hold). The uplink is ideal, so the error
+is always measured from the fresh state.
 """
 
 from __future__ import annotations
@@ -216,8 +215,8 @@ class Trajectory:
 
 
 def simulate_closed_loop(track: ReferenceTrack, g: Gains,
-                         outage_schedule, delay: int = 0) -> Trajectory:
-    """Run the delayed closed loop against `track`.
+                         outage_schedule) -> Trajectory:
+    """Run the closed loop against `track`.
 
     outage_schedule[k] true means the downlink packet at step k is lost and
     the previous delivered command is held. The first command is always
@@ -225,23 +224,13 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
     The run length equals len(outage_schedule); schedules longer than one lap
     wrap around the closed track with the heading continued across laps.
 
-    With delay = n > 0 every command reaches the vehicle n samples after it
-    was computed: the command applied at step k was computed from the state
-    at step k - n, and outage_schedule[k] refers to the packet arriving at
-    step k (the first arrival, at step n, is always delivered). No command
-    has arrived during the first n steps, so the vehicle waits at the start
-    with zero velocity and the run begins about nu_r * n * ts behind the
-    reference.
-
     Each step is `tracking_error`, `control_law` and `plant_step`; the loop
-    adds only the hold register and the commands in flight.
+    adds only the hold register.
     """
     schedule = np.asarray(outage_schedule, dtype=bool)
     steps = len(schedule)
     if steps == 0:
         raise ParameterError("outage schedule must contain at least one step")
-    if delay < 0:
-        raise ParameterError("command delay must be nonnegative")
 
     n_steps = track.n_steps
     ts = track.ts
@@ -258,23 +247,15 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
     out_flag = np.zeros(steps, dtype=bool)
 
     x = xs(0); y = ys(0); th = thetas(0)
-    hold = (0.0, 0.0)
-    # commands in flight: slot k % delay holds the one computed at step k - delay
-    sent = [hold] * delay
 
     for k in range(steps):
         r = k % n_steps
         xe, ye, the = tracking_error(xs(r), ys(r),
                                      thetas(r) + k // n_steps * lap_turn,
                                      x, y, th)
-        if delay or k == 0 or not lost(k):
-            cmd = control_law(xe, ye, the, nus(r), omegas(r), g)
-        if delay:   # send this step's command, take the one arriving now
-            slot = k % delay
-            cmd, sent[slot] = sent[slot], cmd
-        if k == delay or (k > delay and not lost(k)):
-            hold = cmd
-        elif k > delay:
+        if k == 0 or not lost(k):
+            hold = control_law(xe, ye, the, nus(r), omegas(r), g)
+        else:
             out_flag[k] = True
         out_xc[k] = x; out_yc[k] = y; out_thc[k] = th
         out_xe[k] = xe; out_ye[k] = ye; out_the[k] = the

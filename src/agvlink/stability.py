@@ -43,9 +43,6 @@ never grew with its speed, so without a margin the fastest sample binds;
 under a margin the slowest can bind first, its slow mode lying nearest the
 circle. The tests check the samples against every 25th step of a lap on which
 that lag falls from 31 to 17.
-
-One nonlinear check runs the simulator: `simulate_delay_stability`, with a
-constant n-sample delay, the loop the linear test models.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from ._io import write_table
-from .control import Gains, ReferenceTrack, simulate_closed_loop
+from .control import Gains, ReferenceTrack
 from .exceptions import ParameterError
 
 FROZEN_POINTS = 5
@@ -303,38 +300,6 @@ def outage_tolerance(track: ReferenceTrack, g: Gains,
     if lo == cap:
         return report(cap, lags, first_violation_step=None, capped=True)
     return report(lo, lags + (lo + 1,), first_violation_step=None)
-
-
-def simulate_delay_stability(track: ReferenceTrack, g: Gains, n: int) -> bool:
-    """Nonlinear check of lag n: does the loop settle with commands n samples old?
-
-    The run uses `simulate_closed_loop` with delay n and no losses. The
-    vehicle waits for its first command, which kicks it about nu * n * ts
-    behind the reference. The position error is then compared over two
-    windows of W = 4(n + 1) samples plus one slow-mode time constant
-    2/(k_theta nu_max): the first after the kick and the last of a run six
-    windows long. Stable means the error stays finite and below a fifth of
-    the larger semi-axis, and swings less (max - min) over the last window
-    than over the first: a stable loop settles onto its constant standing
-    error, an unstable one swings ever wider.
-
-    The run sees only the speeds it passes through, which on a short, fast
-    ellipse is a fraction of a lap. On the 350 x 200 m ellipse traced in
-    20 s at 4 ms it calls lag 18 stable, as an 8-lap run confirms, where the
-    frozen-time test (`evaluate_candidate`) is conservative and does not;
-    but it also calls lag 23 stable, where an 8-lap run diverges.
-    """
-    if n < 0:
-        raise ParameterError("delay must be nonnegative")
-    diverged = 0.2 * max(track.spec.semi_axis_a, track.spec.axis_b)
-    tau = 2.0 / (g.k_theta * track.max_speed)
-    window = 4 * (n + 1) + int(math.ceil(tau / track.ts))
-    steps = n + 6 * window
-    err = simulate_closed_loop(track, g, np.zeros(steps, dtype=bool),
-                               delay=n).position_error()
-    if not np.all(np.isfinite(err)) or float(np.max(err)) >= diverged:
-        return False
-    return float(np.ptp(err[-window:])) < float(np.ptp(err[n:n + window]))
 
 
 STABILITY_COLUMNS = ["n_candidate", "stable_flag", "worst_spectral_radius",

@@ -2,6 +2,7 @@
 
 import math
 import os
+from collections import deque
 
 import mpmath
 import numpy as np
@@ -105,6 +106,60 @@ def one_minus_pbb_mp(gamma_th: float, rho: float) -> float:
         phi = mpmath.sqrt(2 * mpmath.mpf(gamma_th) / (1 - r * r))
         numerator = _marcum_q1_mp(phi, r * phi) - _marcum_q1_mp(r * phi, phi)
         return float(numerator / mpmath.expm1(gamma_th))
+
+
+def delayed_position_error(track, gains, n, steps):
+    """Per-step position error of a loss-free run of `steps` steps in which
+    every command reaches the vehicle n samples after it was computed: the
+    command applied at step k was computed from the pose at step k - n. No
+    command has arrived during the first n steps, so the vehicle waits at the
+    start with a zero command. It steps with the simulator's kernel functions
+    and reads the track as `simulate_closed_loop` does."""
+    xs, ys, thetas = track.xs.item, track.ys.item, track.thetas.item
+    nus, omegas = track.nus.item, track.omegas.item
+    n_steps, lap_turn = track.n_steps, track.heading_per_lap()
+    x, y, th = xs(0), ys(0), thetas(0)
+    in_flight = deque([(0.0, 0.0)] * n)
+    x_e, y_e = np.empty(steps), np.empty(steps)
+    for k in range(steps):
+        r = k % n_steps
+        xe, ye, the = tracking_error(xs(r), ys(r),
+                                     thetas(r) + k // n_steps * lap_turn,
+                                     x, y, th)
+        x_e[k], y_e[k] = xe, ye
+        in_flight.append(control_law(xe, ye, the, nus(r), omegas(r), gains))
+        x, y, th = plant_step(x, y, th, *in_flight.popleft(), track.ts)
+    return np.hypot(x_e, y_e)
+
+
+def settles_under_delay(track, gains, n):
+    """Nonlinear check of lag n: does the loop settle with commands n samples
+    old?
+
+    The vehicle waits for its first command, which kicks it about nu * n * ts
+    behind the reference. The position error is then compared over two
+    windows of W = 4(n + 1) samples plus one slow-mode time constant
+    2/(k_theta nu_max): the first after the kick and the last of a run six
+    windows long. Stable means the error stays finite and below a fifth of
+    the larger semi-axis, and swings less (max - min) over the last window
+    than over the first: a stable loop settles onto its constant standing
+    error, an unstable one swings ever wider.
+
+    The run lasts only about 0.13 of a lap on the fast tracks checked, too
+    short for a slow divergence to show. On the 350 m circle traced in 20 s
+    at 4 ms (n_max = 17) it calls lags up to 20 stable, where the root count
+    (exact on a circle) does not. On the 350 x 200 m ellipse at the same T
+    and ts it calls lag 18 stable, as an 8-lap run confirms, where the
+    frozen-time test is conservative; but it calls every lag up to 29
+    stable, and 8-lap runs diverge from lag 23 on.
+    """
+    diverged = 0.2 * max(track.spec.semi_axis_a, track.spec.axis_b)
+    tau = 2.0 / (gains.k_theta * track.max_speed)
+    window = 4 * (n + 1) + int(math.ceil(tau / track.ts))
+    err = delayed_position_error(track, gains, n, n + 6 * window)
+    if not np.all(np.isfinite(err)) or float(np.max(err)) >= diverged:
+        return False
+    return float(np.ptp(err[-window:])) < float(np.ptp(err[n:n + window]))
 
 
 def _error_step(e_cur, e_stale, ref, ref_next, nu, omega, ts, g):

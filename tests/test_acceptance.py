@@ -37,12 +37,12 @@ from agvlink import (
     outage_tolerance,
     sample_outage_sequence,
     simulate_closed_loop,
-    simulate_delay_stability,
 )
 from agvlink.channel import RHO_LIMIT
 from agvlink.cli import main
 
-from conftest import jacobian_fd_pairs, one_minus_pbb_mp, report_criterion
+from conftest import (jacobian_fd_pairs, one_minus_pbb_mp, report_criterion,
+                      settles_under_delay)
 
 _POINTS: dict[tuple[float, float], PointResult] = {}
 _TIMES: dict[tuple[float, float], float] = {}
@@ -215,7 +215,7 @@ def test_criterion_09_oracle_agreement():
             for ratio in ratios:
                 n = min(max(1, round(ratio * n_max)), track.n_steps - 1)
                 predicted = evaluate_candidate(track, gains, n).stable
-                simulated = simulate_delay_stability(track, gains, n)
+                simulated = settles_under_delay(track, gains, n)
                 total += 1
                 if predicted == simulated:
                     agree += 1

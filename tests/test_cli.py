@@ -505,6 +505,9 @@ def test_simulate_flag_validation(capsys):
     assert main(base + ["--burst-len", "0"]) == 2
     assert main(base + ["--burst-len", "2", "--burst-start", "99"]) == 2
     capsys.readouterr()
+    # step 0's command is always delivered, so a burst there would lose one
+    assert main(base + ["--burst-len", "3", "--burst-start", "0"]) == 2
+    assert "error: --burst-start must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_simulate_sampled_outages(tmp_path):

@@ -26,7 +26,7 @@ from agvlink import (
 from agvlink import control
 from agvlink.control import TRAJECTORY_COLUMNS
 
-from conftest import needs_fork
+from conftest import delayed_position_error, needs_fork
 
 finite_angle = st.floats(-50.0, 50.0)
 small_coord = st.floats(-1e3, 1e3)
@@ -287,35 +287,30 @@ def test_isolated_outage_forgotten(small_track, gains):
     assert d < 1e-6
 
 
-def test_delayed_run_applies_lagged_commands(tiny_track, gains):
-    # oracle: a list of each step's fresh command; the applied command is
-    # the one at index k - n, zero until the first one arrives
+def test_delay_oracle_matches_simulator(tiny_track, gains):
+    # the tests' constant-delay oracle is the package's loop at lag 0, bit
+    # for bit, across the lap seam and on a track whose speed varies
+    ellipse = build_reference_track(
+        TrackSpec(shape="ellipse", semi_axis_b=200.0), 20.0, 4e-3)
+    for track, steps in ((tiny_track, 5 * tiny_track.n_steps // 2),
+                         (ellipse, 2 * ellipse.n_steps)):
+        want = simulate_closed_loop(track, gains, np.zeros(steps, dtype=bool))
+        got = delayed_position_error(track, gains, 0, steps)
+        assert got.tobytes() == want.position_error().tobytes()
+
+
+def test_delay_oracle_waits_for_first_command(tiny_track, gains):
+    # at lag n no command arrives before step n, so the vehicle waits at the
+    # start pose until then and moves after
     n = 7
-    sched = np.zeros(60, dtype=bool)
-    sched[20:23] = True     # packets arriving at steps 20..22 are lost
-    traj = simulate_closed_loop(tiny_track, gains, sched, delay=n)
-    fresh = []
-    held = (0.0, 0.0)
-    for k in range(60):
-        err = tracking_error(tiny_track.xs[k], tiny_track.ys[k],
-                             tiny_track.thetas[k], traj.x_c[k], traj.y_c[k],
-                             traj.theta_c[k])
-        fresh.append(control_law(*err, tiny_track.nus[k], tiny_track.omegas[k],
-                                 gains))
-        if k >= n and not sched[k]:
-            held = fresh[k - n]
-        assert math.isclose(traj.nu_applied[k], held[0], rel_tol=1e-12,
-                            abs_tol=1e-12)
-        assert math.isclose(traj.omega_applied[k], held[1], rel_tol=1e-12,
-                            abs_tol=1e-12)
-    assert np.array_equal(np.flatnonzero(traj.outage), [20, 21, 22])
-    # waiting for the first command leaves the vehicle at the start
-    assert traj.x_c[n] == tiny_track.xs[0] and traj.y_c[n] == tiny_track.ys[0]
-
-
-def test_delayed_run_rejects_negative_delay(tiny_track, gains):
-    with pytest.raises(ParameterError):
-        simulate_closed_loop(tiny_track, gains, np.zeros(5, dtype=bool), delay=-1)
+    err = delayed_position_error(tiny_track, gains, n, 60)
+    start = (tiny_track.xs[0], tiny_track.ys[0], tiny_track.thetas[0])
+    x_e, y_e, _ = np.array([tracking_error(tiny_track.xs[k], tiny_track.ys[k],
+                                           tiny_track.thetas[k], *start)
+                            for k in range(n + 2)]).T
+    offset = np.hypot(x_e, y_e)
+    assert err[:n + 1].tobytes() == offset[:n + 1].tobytes()
+    assert err[n + 1] != offset[n + 1]
 
 
 def test_simulation_wraps_laps(tiny_track, gains):
@@ -391,13 +386,11 @@ def test_trajectory_csv_matches_per_row_repr(tiny_track, gains):
                                               semi_axis_a=350.0,
                                               semi_axis_b=200.0), 20.0, 1e-2)
     assert cw.heading_per_lap() < 0.0 < ellipse.heading_per_lap()
-    # block edges at 1024 rows, 2.5 laps of each turn sense, a delayed run
+    # block edges at 1024 rows, 2.5 laps of each turn sense
     cases = [(simulate_closed_loop(tiny_track, gains, lossy(n)), tiny_track)
              for n in (1, 1023, 1024, 1025, 2 * 1024 + 3)]
     cases += [(simulate_closed_loop(tr, gains, lossy(5 * tr.n_steps // 2)), tr)
               for tr in (cw, ellipse)]
-    cases.append((simulate_closed_loop(tiny_track, gains, lossy(1500), delay=7),
-                  tiny_track))
     # values whose shortest repr differs from a fixed-precision format
     special = np.array([-0.0, 1e-05, 1.5e-07, 1e16, 1.2345678901234568e17,
                         5e-324, math.nan, math.inf, -math.inf])

@@ -15,12 +15,12 @@ from agvlink import (
     evaluate_candidate,
     outage_tolerance,
     simulate_closed_loop,
-    simulate_delay_stability,
     write_stability_csv,
 )
 from agvlink.stability import _error_frame_loop, _OperatingPoint
 
-from conftest import jacobian_fd_pairs
+from conftest import (delayed_position_error, jacobian_fd_pairs,
+                      settles_under_delay)
 
 
 # --- error-frame matrices -----------------------------------------------------
@@ -210,11 +210,9 @@ def test_evaluate_candidate_validates_range(search_track, gains):
 def test_delay_oracle_brackets_boundary(gains):
     track = build_reference_track(TrackSpec(), 20.0, 1e-2)   # n_max = 6
     n_max = outage_tolerance(track, gains).n_max
-    assert simulate_delay_stability(track, gains, 0)
-    assert simulate_delay_stability(track, gains, n_max // 2)
-    assert not simulate_delay_stability(track, gains, 2 * n_max)
-    with pytest.raises(ParameterError):
-        simulate_delay_stability(track, gains, -1)
+    assert settles_under_delay(track, gains, 0)
+    assert settles_under_delay(track, gains, n_max // 2)
+    assert not settles_under_delay(track, gains, 2 * n_max)
 
 
 def test_ellipse_delay_oracle_brackets_boundary(gains):
@@ -225,9 +223,9 @@ def test_ellipse_delay_oracle_brackets_boundary(gains):
     n_max = outage_tolerance(track, gains).n_max
     assert n_max > 0
     assert evaluate_candidate(track, gains, n_max).stable
-    assert simulate_delay_stability(track, gains, n_max)
+    assert settles_under_delay(track, gains, n_max)
     assert not evaluate_candidate(track, gains, n_max + 1).stable
-    assert not simulate_delay_stability(track, gains, n_max + 1)
+    assert not settles_under_delay(track, gains, n_max + 1)
 
 
 def test_fast_ellipse_settles_beyond_frozen_nmax(gains):
@@ -241,9 +239,7 @@ def test_fast_ellipse_settles_beyond_frozen_nmax(gains):
     assert not evaluate_candidate(track, gains, n_max + 1).stable
     laps = 8
     for lag, settled in ((18, 0.107), (22, 0.131), (23, None)):
-        err = simulate_closed_loop(track, gains,
-                                   np.zeros(laps * track.n_steps, bool),
-                                   delay=lag).position_error()
+        err = delayed_position_error(track, gains, lag, laps * track.n_steps)
         # the position error's swing (max - min) over each lap after the first
         swings = np.ptp(err.reshape(laps, -1)[1:], axis=1)
         if settled is None:     # diverged: swings of 1e3 to 1e5 m
