@@ -47,11 +47,12 @@ DEFAULT_TRACE_GRID = (20.0, 100.0, 333.0, 500.0, 1000.0)
 _Z95 = 1.959963984540054   # two-sided 95% normal quantile
 
 # Fewest outage slots worth a forked share of Monte-Carlo runs: sampling and
-# scanning a slot takes about 0.1 us, so a share this large is about 0.1 s of
-# work against a fork and the reading back of its few lines (2-core x86-64 VM).
-_MIN_SHARE_SLOTS = 1 << 20
-# A co-simulated slot also steps the closed loop, about 3 us: 30 slots' worth.
-_COSIM_SLOT_WEIGHT = 30
+# scanning a slot takes about 0.3-0.4 us, so a share this large is about 0.1 s
+# of work against a fork and the reading back of its few lines, 4-14 ms
+# (2-core x86-64 VM).
+_MIN_SHARE_SLOTS = 1 << 18
+# A co-simulated slot also steps the closed loop, about 3.4 us: 10 slots' worth.
+_COSIM_SLOT_WEIGHT = 10
 
 
 @dataclass(frozen=True)

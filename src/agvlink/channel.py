@@ -36,6 +36,11 @@ PRNG_ID = "pcg64-polar"
 
 PHI_CONVENTIONS = ("zorzi_sqrt", "paper_literal")
 
+# Slots per block of the fading recursion: its Python lists take about 40
+# bytes a slot against numpy's 16, so blocks keep them near 1 MB however
+# long the run is.
+_AR1_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class LinkParams:
@@ -237,23 +242,23 @@ def sample_fading_gains(rho: float, length: int, seed: int,
     """Complex Gauss-Markov gain sequence h(k) = rho h(k-1) + sqrt(1-rho^2) w(k).
 
     h(0) and the innovations w are circularly-symmetric unit Gaussians, so
-    the marginal stays unit Rayleigh-power for every k.
+    the marginal stays unit Rayleigh-power for every k. The recursion runs
+    in Python complex floats, `_AR1_BLOCK` slots at a time.
     """
     if abs(rho) >= 1.0:
         raise ParameterError("|rho| must be below 1")
     if length < 1:
         raise ParameterError("length must be at least 1")
     z = _polar_normals(_generator(seed, stream), 2 * length)
-    cplx = (z[0::2] + 1j * z[1::2]) * math.sqrt(0.5)
-    h0 = cplx[0]
-    if length == 1:
-        return cplx[:1]
-    from scipy.signal import lfilter   # deferred: it dominates `import agvlink`
-
+    z *= math.sqrt(0.5)
+    cplx = z.view(np.complex128)
     innovation_gain = math.sqrt(1.0 - rho * rho)
-    tail, _ = lfilter([innovation_gain], [1.0, -rho], cplx[1:],
-                      zi=np.array([rho * h0]))
-    return np.concatenate(([h0], tail))
+    h = cplx[0].item()
+    for lo in range(1, length, _AR1_BLOCK):
+        hi = lo + _AR1_BLOCK
+        innovations = (innovation_gain * cplx[lo:hi]).tolist()
+        cplx[lo:hi] = [h := rho * h + w for w in innovations]
+    return cplx
 
 
 def sample_outage_sequence(rho: float, gamma_th: float, length: int, seed: int,

@@ -392,6 +392,10 @@ def _cmd_simulate(cfg: CliConfig, args: argparse.Namespace) -> int:
         start = args.burst_start if args.burst_start is not None else 1
         if start >= steps:
             raise ConfigError("--burst-start must lie inside the run")
+        if start + args.burst_len > steps:
+            raise ConfigError(
+                f"--burst-len must end inside the run of {steps} steps, "
+                f"got {args.burst_len} from step {start}")
         schedule[start:start + args.burst_len] = True
     elif args.burst_start is not None:
         raise ConfigError("--burst-start requires --burst-len")

@@ -298,17 +298,29 @@ def test_outage_model_fields_are_python_floats():
 
 
 def test_import_leaves_signal_and_stats_unloaded():
-    # both are slow to import and only some commands need them
+    # both are slow to import and no command needs them: scipy.special is
+    # the only scipy subpackage the package uses
     import agvlink
     src = os.path.dirname(os.path.dirname(os.path.abspath(agvlink.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, agvlink; "
-             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') "
-             "if m in sys.modules))")
+    probe = (
+        "import os, sys, agvlink\n"
+        "from agvlink.cli import main\n"
+        "def loaded():\n"
+        "    return sorted(m for m in ('scipy.signal', 'scipy.stats')\n"
+        "                  if m in sys.modules)\n"
+        "print(loaded())\n"
+        "for argv in (['simulate', '--trace-time-s', '2', '--steps', '400',\n"
+        "              '--sample-outages', '--out', os.devnull],\n"
+        "             ['montecarlo', '--trace-time-s', '2', '--runs', '2',\n"
+        "              '--cosimulate', '--out', os.devnull]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(loaded())\n")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    lines = out.splitlines()   # before the commands, then after them
+    assert lines[0] == lines[-1] == "[]"
 
 
 def test_link_params_validation():
@@ -333,10 +345,15 @@ def test_sample_fading_gains_reproducible_streams():
 
 
 def test_sample_fading_gains_follow_ar1_recursion_bit_for_bit():
-    # the filter computes h(k) = rho h(k-1) + sqrt(1 - rho^2) w(k), h(0) = w(0)
-    from agvlink.channel import _generator, _polar_normals
+    # h(k) = rho h(k-1) + sqrt(1 - rho^2) w(k), h(0) = w(0), checked against
+    # an explicit loop and against scipy's direct-form filter; the lengths
+    # include both sides of the sampler's block edges
+    from scipy.signal import lfilter
+
+    from agvlink.channel import _AR1_BLOCK, _generator, _polar_normals
     for rho in (0.0, 0.3, -0.4, 0.9997, 0.999999, RHO_LIMIT):
-        for length in (1, 2, 7, 100_000):
+        for length in (1, 2, 7, _AR1_BLOCK, _AR1_BLOCK + 1,
+                       2 * _AR1_BLOCK + 1, 100_000):
             z = _polar_normals(_generator(3, 1), 2 * length)
             w = (z[0::2] + 1j * z[1::2]) * math.sqrt(0.5)
             h = w[0].item()
@@ -345,9 +362,13 @@ def test_sample_fading_gains_follow_ar1_recursion_bit_for_bit():
                 h = rho * h + innovation
                 ref.append(h)
             ref = np.array(ref)
+            filtered, _ = lfilter([math.sqrt(1.0 - rho * rho)], [1.0, -rho],
+                                  w[1:], zi=np.array([rho * w[0]]))
+            filtered = np.concatenate((w[:1], filtered))
             got = sample_fading_gains(rho, length, seed=3, stream=1)
-            assert got.dtype == ref.dtype
+            assert got.dtype == ref.dtype == filtered.dtype
             assert got.tobytes() == ref.tobytes(), (rho, length)
+            assert got.tobytes() == filtered.tobytes(), (rho, length)
 
 
 def test_sample_fading_gains_marginals():

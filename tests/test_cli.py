@@ -480,7 +480,7 @@ def test_sweep_with_flagged_row_still_exits_zero(tmp_path, capsys):
     assert "trace_time_s = 20.0" in err and "not finite" in err
 
 
-def test_simulate_burst_injection(tmp_path):
+def test_simulate_burst_injection(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     assert main(["simulate", "--trace-time-s", "2", "--steps", "50",
                  "--burst-start", "2", "--burst-len", "3",
@@ -495,6 +495,20 @@ def test_simulate_burst_injection(tmp_path):
     # start pose: angle pi on the default 350 m circle, heading -pi/2
     assert float(rows[0][5]) == pytest.approx(-350.0, rel=1e-12)
     assert float(rows[0][6]) == pytest.approx(0.0, abs=1e-9)
+    # a burst that would run past the last step is refused, not truncated
+    out.unlink()
+    assert main(["simulate", "--trace-time-s", "2", "--steps", "50",
+                 "--burst-start", "48", "--burst-len", "5",
+                 "--out", str(out)]) == 2
+    assert "error: --burst-len must end inside the run of 50 steps, got 5 " \
+        "from step 48" in capsys.readouterr().err
+    assert not out.exists()
+    # the last two steps still take a burst that ends with the run
+    assert main(["simulate", "--trace-time-s", "2", "--steps", "50",
+                 "--burst-start", "48", "--burst-len", "2",
+                 "--out", str(out)]) == 0
+    flags = [int(l.split(",")[-1]) for l in out.read_text().splitlines()[1:]]
+    assert flags[48:] == [1, 1] and sum(flags) == 2
 
 
 def test_simulate_flag_validation(capsys):
