@@ -227,11 +227,11 @@ def longest_outage_run(outages: np.ndarray) -> int:
     return int(np.max(edges[1::2] - edges[0::2]))
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ParameterError("need 0 <= successes <= trials, trials >= 1")
+    z = _Z95
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2.0 * trials)) / denom

@@ -162,21 +162,15 @@ def back_to_back_prob(gamma_th: float, rho: float,
 def consecutive_outage_prob(n: int, p1: float, p_bb: float) -> float:
     """Probability of n consecutive losses, p1 * p_bb^(n-1).
 
-    Evaluated in the log domain for long runs; underflows to 0.0 only when
-    the true value is below the smallest positive float.
+    One float power, within 2 ulp of the exact value; it underflows
+    quietly to 0.0 (consecutive_outage_log10 does not) and cannot overflow,
+    since p_bb <= 1.
     """
     if n < 1:
         raise ParameterError("run length n must be at least 1")
     if not (0.0 <= p1 <= 1.0 and 0.0 <= p_bb <= 1.0):
         raise ParameterError("p1 and p_bb must be probabilities")
-    if n == 1:
-        return p1
-    if p_bb == 0.0:
-        return 0.0
-    if n <= 50:
-        return p1 * p_bb ** (n - 1)
-    log_p = math.log(p1) + (n - 1) * math.log(p_bb) if p1 > 0 else -math.inf
-    return math.exp(log_p) if log_p > -745.0 else 0.0
+    return p1 * p_bb ** (n - 1)
 
 
 def consecutive_outage_log10(n: int, p1: float, p_bb: float) -> float:

@@ -227,8 +227,8 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
     Each step is `tracking_error`, `control_law` and `plant_step`; the loop
     adds only the hold register.
     """
-    schedule = np.asarray(outage_schedule, dtype=bool)
-    steps = len(schedule)
+    out_flag = np.array(outage_schedule, dtype=bool)   # a copy: step 0 is cleared
+    steps = len(out_flag)
     if steps == 0:
         raise ParameterError("outage schedule must contain at least one step")
 
@@ -238,13 +238,13 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
     # cheaper than on numpy scalars and rounds identically
     xs, ys, thetas = track.xs.item, track.ys.item, track.thetas.item
     nus, omegas = track.nus.item, track.omegas.item
-    lost = schedule.item
     lap_turn = track.heading_per_lap()
 
     out_xc = np.empty(steps); out_yc = np.empty(steps); out_thc = np.empty(steps)
     out_xe = np.empty(steps); out_ye = np.empty(steps); out_the = np.empty(steps)
     out_nu = np.empty(steps); out_om = np.empty(steps)
-    out_flag = np.zeros(steps, dtype=bool)
+    out_flag[0] = False   # the first command seeds the hold register
+    lost = out_flag.item
 
     x = xs(0); y = ys(0); th = thetas(0)
 
@@ -253,10 +253,8 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
         xe, ye, the = tracking_error(xs(r), ys(r),
                                      thetas(r) + k // n_steps * lap_turn,
                                      x, y, th)
-        if k == 0 or not lost(k):
+        if not lost(k):
             hold = control_law(xe, ye, the, nus(r), omegas(r), g)
-        else:
-            out_flag[k] = True
         out_xc[k] = x; out_yc[k] = y; out_thc[k] = th
         out_xe[k] = xe; out_ye[k] = ye; out_the[k] = the
         out_nu[k], out_om[k] = hold

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -217,14 +218,28 @@ def test_consecutive_outage_prob_small_n():
     assert rel_close(consecutive_outage_prob(5, p1, p_bb), expected, 1e-15)
 
 
-def test_consecutive_outage_prob_log_domain_consistency():
+def test_consecutive_outage_prob_matches_mpmath():
+    # the default link at 1 ms on the 20, 100 and 1000 s laps of the default
+    # circle; n spans the n_max values of the sweeps (73 at 20 s, 156 at 100 s,
+    # 1570 at 0.1 ms); 1570 underflows on the two fast laps, 40 000 on all
+    link = LinkParams()
+    for lap_s in (20.0, 100.0, 1000.0):
+        model = build_outage_model(link, 1e-3, 2 * math.pi * 350.0 / lap_s)
+        p1, p_bb = model.p1, model.p_bb
+        for n in (1, 2, 50, 51, 73, 156, 1570, 40_000):
+            got = consecutive_outage_prob(n, p1, p_bb)
+            with mpmath.workdps(50):
+                exact = mpmath.mpf(p1) * mpmath.mpf(p_bb) ** (n - 1)
+                if exact < mpmath.ldexp(1, -1075):   # rounds to 0.0
+                    assert got == 0.0, (lap_s, n, got)
+                    continue
+                err = float(abs(got - exact) / exact)
+            # about 2 ulp: one correctly rounded power and one product
+            assert err <= 4.5e-16, (lap_s, n, err)
+            assert close(consecutive_outage_log10(n, p1, p_bb),
+                         math.log10(got), 1e-9), (lap_s, n)
+    # the log10 companion is affine in n with slope log10(p_bb)
     p1, p_bb = 0.536703, 0.837792
-    # n = 155 crosses the log-domain branch; compare to direct float power
-    direct = p1 * p_bb ** 154
-    assert rel_close(consecutive_outage_prob(155, p1, p_bb), direct, 1e-12)
-    got_log = consecutive_outage_log10(155, p1, p_bb)
-    assert close(got_log, math.log10(direct), 1e-9)
-    # affine in n with slope log10(p_bb)
     slope = consecutive_outage_log10(11, p1, p_bb) - consecutive_outage_log10(
         10, p1, p_bb)
     assert rel_close(slope, math.log10(p_bb), 1e-12)

@@ -271,7 +271,7 @@ def test_outage_flags_recorded_after_first_sample(tiny_track, gains):
     sched[0] = True         # first sample is always delivered by convention
     sched[10:13] = True
     traj = simulate_closed_loop(tiny_track, gains, sched)
-    assert not traj.outage[0]
+    assert not traj.outage[0] and sched[0]   # the caller's schedule is kept
     assert np.array_equal(traj.outage[10:13], [True] * 3)
 
 
