@@ -159,6 +159,13 @@ def back_to_back_prob(gamma_th: float, rho: float,
     return min(max(p_bb, 0.0), 1.0)
 
 
+def _check_run(n: int, p1: float, p_bb: float) -> None:
+    if n < 1:
+        raise ParameterError("run length n must be at least 1")
+    if not (0.0 <= p1 <= 1.0 and 0.0 <= p_bb <= 1.0):
+        raise ParameterError("p1 and p_bb must be probabilities")
+
+
 def consecutive_outage_prob(n: int, p1: float, p_bb: float) -> float:
     """Probability of n consecutive losses, p1 * p_bb^(n-1).
 
@@ -166,17 +173,13 @@ def consecutive_outage_prob(n: int, p1: float, p_bb: float) -> float:
     quietly to 0.0 (consecutive_outage_log10 does not) and cannot overflow,
     since p_bb <= 1.
     """
-    if n < 1:
-        raise ParameterError("run length n must be at least 1")
-    if not (0.0 <= p1 <= 1.0 and 0.0 <= p_bb <= 1.0):
-        raise ParameterError("p1 and p_bb must be probabilities")
+    _check_run(n, p1, p_bb)
     return p1 * p_bb ** (n - 1)
 
 
 def consecutive_outage_log10(n: int, p1: float, p_bb: float) -> float:
     """log10 of consecutive_outage_prob; representable far past underflow."""
-    if n < 1:
-        raise ParameterError("run length n must be at least 1")
+    _check_run(n, p1, p_bb)
     if p1 <= 0.0 or (p_bb <= 0.0 and n > 1):
         return -math.inf
     return (math.log10(p1) + (n - 1) * math.log10(p_bb)) if n > 1 else math.log10(p1)
@@ -203,7 +206,9 @@ def _polar_normals(gen: np.random.Generator, count: int) -> np.ndarray:
     """Standard normals via the Marsaglia polar transform.
 
     Fixed-chunk rejection keeps the draw order deterministic for a given
-    bit-generator state, independent of platform math libraries.
+    bit-generator state, independent of platform math libraries. Every pair
+    of a chunk is drawn, but only the accepted pairs still needed are
+    transformed, so the first n normals do not depend on `count`.
     """
     out = np.empty(count)
     filled = 0
@@ -212,7 +217,7 @@ def _polar_normals(gen: np.random.Generator, count: int) -> np.ndarray:
         u = 2.0 * gen.random(chunk) - 1.0
         v = 2.0 * gen.random(chunk) - 1.0
         s = u * u + v * v
-        keep = (s > 0.0) & (s < 1.0)
+        keep = np.flatnonzero((s > 0.0) & (s < 1.0))[:(count - filled + 1) // 2]
         u, v, s = u[keep], v[keep], s[keep]
         factor = np.sqrt(-2.0 * np.log(s) / s)
         pair = np.empty(2 * len(s))

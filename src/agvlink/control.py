@@ -214,6 +214,12 @@ class Trajectory:
         return np.hypot(self.x_e, self.y_e)
 
 
+# Steps per block of the simulator: enough to amortise the numpy calls that
+# read the track and store the outputs, few enough that the block's Python
+# floats (eight lists of them) stay well under 1 MB however long the run is.
+_SIM_BLOCK = 1 << 10
+
+
 def simulate_closed_loop(track: ReferenceTrack, g: Gains,
                          outage_schedule) -> Trajectory:
     """Run the closed loop against `track`.
@@ -224,45 +230,48 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
     The run length equals len(outage_schedule); schedules longer than one lap
     wrap around the closed track with the heading continued across laps.
 
-    Each step is `tracking_error`, `control_law` and `plant_step`; the loop
-    adds only the hold register.
+    Each step is `tracking_error`, `control_law` and `plant_step` on Python
+    floats; the loop adds only the hold register. It runs `_SIM_BLOCK` steps
+    at a time: a block reads its stretch of the track (the heading continued
+    by whole laps) as Python floats, keeps the per-step values in lists and
+    stores them into the output arrays once at the block's end.
     """
     out_flag = np.array(outage_schedule, dtype=bool)   # a copy: step 0 is cleared
     steps = len(out_flag)
     if steps == 0:
         raise ParameterError("outage schedule must contain at least one step")
+    out_flag[0] = False   # the first command seeds the hold register
 
     n_steps = track.n_steps
     ts = track.ts
-    # .item returns Python floats: arithmetic on them is several times
-    # cheaper than on numpy scalars and rounds identically
-    xs, ys, thetas = track.xs.item, track.ys.item, track.thetas.item
-    nus, omegas = track.nus.item, track.omegas.item
     lap_turn = track.heading_per_lap()
+    outputs = [np.empty(steps) for _ in range(8)]
+    x, y, th = track.xs[0].item(), track.ys[0].item(), track.thetas[0].item()
 
-    out_xc = np.empty(steps); out_yc = np.empty(steps); out_thc = np.empty(steps)
-    out_xe = np.empty(steps); out_ye = np.empty(steps); out_the = np.empty(steps)
-    out_nu = np.empty(steps); out_om = np.empty(steps)
-    out_flag[0] = False   # the first command seeds the hold register
-    lost = out_flag.item
-
-    x = xs(0); y = ys(0); th = thetas(0)
-
-    for k in range(steps):
+    for lo in range(0, steps, _SIM_BLOCK):
+        hi = min(lo + _SIM_BLOCK, steps)
+        k = np.arange(lo, hi)
         r = k % n_steps
-        xe, ye, the = tracking_error(xs(r), ys(r),
-                                     thetas(r) + k // n_steps * lap_turn,
-                                     x, y, th)
-        if not lost(k):
-            hold = control_law(xe, ye, the, nus(r), omegas(r), g)
-        out_xc[k] = x; out_yc[k] = y; out_thc[k] = th
-        out_xe[k] = xe; out_ye[k] = ye; out_the[k] = the
-        out_nu[k], out_om[k] = hold
-        x, y, th = plant_step(x, y, th, *hold, ts)
+        # numpy rounds each elementwise product and sum as Python floats do
+        theta_r = track.thetas[r] + k // n_steps * lap_turn
+        values = [[] for _ in range(8)]
+        (put_xc, put_yc, put_thc, put_xe, put_ye, put_the,
+         put_nu, put_om) = [v.append for v in values]
+        for x_r, y_r, th_r, nu_r, om_r, lost in zip(
+                track.xs[r].tolist(), track.ys[r].tolist(), theta_r.tolist(),
+                track.nus[r].tolist(), track.omegas[r].tolist(),
+                out_flag[lo:hi].tolist()):
+            xe, ye, the = tracking_error(x_r, y_r, th_r, x, y, th)
+            if not lost:
+                nu, om = control_law(xe, ye, the, nu_r, om_r, g)
+            put_xc(x); put_yc(y); put_thc(th)
+            put_xe(xe); put_ye(ye); put_the(the)
+            put_nu(nu); put_om(om)
+            x, y, th = plant_step(x, y, th, nu, om, ts)
+        for out, vals in zip(outputs, values):
+            out[lo:hi] = vals
 
-    return Trajectory(ts=ts, x_c=out_xc, y_c=out_yc, theta_c=out_thc,
-                      x_e=out_xe, y_e=out_ye, theta_e=out_the,
-                      nu_applied=out_nu, omega_applied=out_om, outage=out_flag)
+    return Trajectory(ts, *outputs, outage=out_flag)   # in field order
 
 
 # Rows per formatted block: enough to amortise the numpy calls, few enough

@@ -108,26 +108,53 @@ def one_minus_pbb_mp(gamma_th: float, rho: float) -> float:
         return float(numerator / mpmath.expm1(gamma_th))
 
 
+def reference_per_step(track, steps):
+    """Yield (x_r, y_r, theta_r, nu_r, omega_r) for steps 0..steps-1, one
+    `.item` lookup each: step k reads sample k mod n_steps, with the heading
+    continued by k // n_steps whole laps."""
+    xs, ys, thetas = track.xs.item, track.ys.item, track.thetas.item
+    nus, omegas = track.nus.item, track.omegas.item
+    n_steps, lap_turn = track.n_steps, track.heading_per_lap()
+    for k in range(steps):
+        r = k % n_steps
+        yield (xs(r), ys(r), thetas(r) + k // n_steps * lap_turn,
+               nus(r), omegas(r))
+
+
+def closed_loop_per_step(track, gains, schedule):
+    """The lossy closed loop one step at a time: the kernel functions on the
+    reference of `reference_per_step`, the hold register, and one store per
+    value. Returns the nine `Trajectory` arrays in field order (x_c, y_c,
+    theta_c, x_e, y_e, theta_e, nu_applied, omega_applied, outage)."""
+    lost = np.array(schedule, dtype=bool)
+    lost[0] = False
+    columns = np.empty((8, len(lost)))
+    x, y, th = track.xs.item(0), track.ys.item(0), track.thetas.item(0)
+    for k, (x_r, y_r, th_r, nu_r, om_r) in enumerate(
+            reference_per_step(track, len(lost))):
+        xe, ye, the = tracking_error(x_r, y_r, th_r, x, y, th)
+        if not lost[k]:
+            hold = control_law(xe, ye, the, nu_r, om_r, gains)
+        columns[:, k] = x, y, th, xe, ye, the, *hold
+        x, y, th = plant_step(x, y, th, *hold, track.ts)
+    return (*columns, lost)
+
+
 def delayed_position_error(track, gains, n, steps):
     """Per-step position error of a loss-free run of `steps` steps in which
     every command reaches the vehicle n samples after it was computed: the
     command applied at step k was computed from the pose at step k - n. No
     command has arrived during the first n steps, so the vehicle waits at the
     start with a zero command. It steps with the simulator's kernel functions
-    and reads the track as `simulate_closed_loop` does."""
-    xs, ys, thetas = track.xs.item, track.ys.item, track.thetas.item
-    nus, omegas = track.nus.item, track.omegas.item
-    n_steps, lap_turn = track.n_steps, track.heading_per_lap()
-    x, y, th = xs(0), ys(0), thetas(0)
+    on the reference of `reference_per_step`."""
+    x, y, th = track.xs.item(0), track.ys.item(0), track.thetas.item(0)
     in_flight = deque([(0.0, 0.0)] * n)
     x_e, y_e = np.empty(steps), np.empty(steps)
-    for k in range(steps):
-        r = k % n_steps
-        xe, ye, the = tracking_error(xs(r), ys(r),
-                                     thetas(r) + k // n_steps * lap_turn,
-                                     x, y, th)
+    for k, (x_r, y_r, th_r, nu_r, om_r) in enumerate(
+            reference_per_step(track, steps)):
+        xe, ye, the = tracking_error(x_r, y_r, th_r, x, y, th)
         x_e[k], y_e[k] = xe, ye
-        in_flight.append(control_law(xe, ye, the, nus(r), omegas(r), gains))
+        in_flight.append(control_law(xe, ye, the, nu_r, om_r, gains))
         x, y, th = plant_step(x, y, th, *in_flight.popleft(), track.ts)
     return np.hypot(x_e, y_e)
 

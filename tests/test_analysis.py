@@ -216,6 +216,13 @@ def test_wilson_interval_matches_scipy():
         assert rel_close(hi, ref.high, 1e-10) or close(hi, ref.high, 1e-12)
 
 
+def test_wilson_interval_lower_bound_is_zero_at_zero_successes():
+    # center - half would cancel inexactly (3.47e-18 at n = 100)
+    for n in (1, 12, 16, 100, 1000, 10**6):
+        lo, hi = wilson_interval(0, n)
+        assert lo == 0.0 and 0.0 < hi < 1.0, (n, lo, hi)
+
+
 def test_wilson_interval_validation():
     with pytest.raises(ParameterError):
         wilson_interval(1, 0)

@@ -7,6 +7,7 @@ values; samplers against their analytic marginals at 3-sigma tolerances with
 fixed seeds.
 """
 
+import hashlib
 import math
 import os
 import subprocess
@@ -37,7 +38,7 @@ from agvlink import (
     snr_threshold,
     spectral_efficiency,
 )
-from agvlink.channel import PHI_CONVENTIONS, RHO_LIMIT
+from agvlink.channel import PHI_CONVENTIONS, PRNG_ID, RHO_LIMIT
 
 from conftest import close, one_minus_pbb_mp, rel_close
 
@@ -257,12 +258,13 @@ def test_consecutive_outage_prob_underflow():
 
 
 def test_consecutive_outage_prob_rejects_bad_inputs():
-    with pytest.raises(ParameterError):
-        consecutive_outage_prob(0, 0.5, 0.5)
-    with pytest.raises(ParameterError):
-        consecutive_outage_prob(2, 1.5, 0.5)
-    with pytest.raises(ParameterError):
-        consecutive_outage_log10(0, 0.5, 0.5)
+    # the probability and its log10 share one check
+    for fn in (consecutive_outage_prob, consecutive_outage_log10):
+        for args in ((0, 0.5, 0.5), (2, 1.5, 0.5), (5, 0.5, 1.5),
+                     (2, -0.1, 0.5), (2, 0.5, -0.1), (2, math.nan, 0.5),
+                     (2, 0.5, math.nan)):
+            with pytest.raises(ParameterError):
+                fn(*args)
 
 
 def test_build_outage_model_nominal_point():
@@ -384,6 +386,38 @@ def test_sample_fading_gains_follow_ar1_recursion_bit_for_bit():
             assert got.dtype == ref.dtype == filtered.dtype
             assert got.tobytes() == ref.tobytes(), (rho, length)
             assert got.tobytes() == filtered.tobytes(), (rho, length)
+
+
+def test_polar_normals_prefix_does_not_depend_on_count():
+    # every pair of a chunk is drawn, whatever the count, so the first n
+    # normals are the same for any longer request; counts on both sides of
+    # the first chunk's accepted normals cover the second chunk
+    from agvlink.channel import _generator, _polar_normals
+    gen = _generator(9, 4)
+    u, v = (2.0 * gen.random(1 << 16) - 1.0 for _ in range(2))
+    s = u * u + v * v
+    first_chunk = 2 * int(np.count_nonzero((s > 0.0) & (s < 1.0)))
+    longest = _polar_normals(_generator(9, 4), 3 * (1 << 16))
+    for n in (1, 2, 3, 39_999, 40_000, first_chunk - 1, first_chunk,
+              first_chunk + 1, 131_071):
+        got = _polar_normals(_generator(9, 4), n)
+        assert got.tobytes() == longest[:n].tobytes(), n
+
+
+def test_sample_outage_sequence_stream_is_pinned():
+    # PRNG_ID names the stream: these bytes may change only with it
+    assert PRNG_ID == "pcg64-polar"
+    gamma = 0.7693878389952673
+    for (length, seed, stream), digest in (
+            ((1000, 1, 0), "4b4bb8021063ef95682b866cc7c478ea"
+                           "0889a67a32071d327063394a40ad16f4"),
+            ((20_000, 1, 3), "2d1a237ec7334c0e2acae444df0751e1"
+                             "810468c198bc8eb75d3c0056626c3780"),
+            ((100_001, 7, 2), "40d42ba428118212bed05f93f8247216"
+                              "6c181196028750af9d97df0aaa97571e")):
+        losses = sample_outage_sequence(0.927409, gamma, length, seed, stream)
+        assert hashlib.sha256(losses.tobytes()).hexdigest() == digest, (
+            length, seed, stream)
 
 
 def test_sample_fading_gains_marginals():

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from agvlink import (
 from agvlink import control
 from agvlink.control import TRAJECTORY_COLUMNS
 
-from conftest import delayed_position_error, needs_fork
+from conftest import closed_loop_per_step, delayed_position_error, needs_fork
 
 finite_angle = st.floats(-50.0, 50.0)
 small_coord = st.floats(-1e3, 1e3)
@@ -285,6 +286,47 @@ def test_isolated_outage_forgotten(small_track, gains):
     d = math.hypot(t_clean.x_c[-1] - t_one.x_c[-1],
                    t_clean.y_c[-1] - t_one.y_c[-1])
     assert d < 1e-6
+
+
+def test_blocked_simulator_matches_per_step_loop(tiny_track, gains):
+    # the 4000-step lap is no whole number of blocks, so block edges and the
+    # lap seam fall apart; 2.5 laps cross two seams
+    block = control._SIM_BLOCK
+    assert tiny_track.n_steps % block
+    rng = np.random.default_rng(16)
+    for steps in (1, block - 1, block, block + 1,
+                  5 * tiny_track.n_steps // 2):
+        sched = rng.random(steps) < 0.4
+        traj = simulate_closed_loop(tiny_track, gains, sched)
+        got = (traj.x_c, traj.y_c, traj.theta_c, traj.x_e, traj.y_e,
+               traj.theta_e, traj.nu_applied, traj.omega_applied, traj.outage)
+        want = closed_loop_per_step(tiny_track, gains, sched)
+        for name, a, b in zip(("x_c", "y_c", "theta_c", "x_e", "y_e",
+                               "theta_e", "nu_applied", "omega_applied",
+                               "outage"), got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                steps, name)
+
+
+def test_simulator_memory_does_not_grow_with_the_run(small_track, gains):
+    # beyond its nine output arrays (65 bytes a step) the simulator holds one
+    # block of Python floats, whatever the run's length; lists of the whole
+    # run would add about 8 MB at 20 000 steps. (Each step costs about 30 us
+    # under tracemalloc, so the runs are kept short.)
+    extra = {}
+    for steps in (20_000, 40_000):
+        sched = np.zeros(steps, dtype=bool)
+        sched[::7] = True
+        tracemalloc.start()
+        try:
+            traj = simulate_closed_loop(small_track, gains, sched)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == steps
+        extra[steps] = (peak - 65 * steps) / 2**20
+    assert max(extra.values()) < 2.0, extra
+    assert abs(extra[40_000] - extra[20_000]) < 0.25, extra
 
 
 def test_delay_oracle_matches_simulator(tiny_track, gains):
