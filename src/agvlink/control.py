@@ -141,10 +141,16 @@ def build_reference_track(spec: TrackSpec, trace_time: float, ts: float) -> Refe
     # left (MemoryError) makes the lap too long to sample
     try:
         phi = spec.start_angle + sign * TWO_PI * np.arange(n_steps + 1) / n_steps
-        xs = a * np.cos(phi)
-        ys = b * np.sin(phi)
-        x_dot = -a * np.sin(phi) * phi_dot
-        y_dot = b * np.cos(phi) * phi_dot
+        # one cosine and one sine of phi, each freed before the next is taken
+        cos_phi = np.cos(phi)
+        xs = a * cos_phi
+        y_dot = b * cos_phi * phi_dot
+        del cos_phi
+        sin_phi = np.sin(phi)
+        del phi
+        ys = b * sin_phi
+        x_dot = -a * sin_phi * phi_dot
+        del sin_phi
         nus = np.hypot(x_dot, y_dot)
         # curvature rate omega = (x' y'' - y' x'') / nu^2 with the second
         # derivatives of the constant-rate parametrization

@@ -33,6 +33,15 @@ eigenvalues of a (3 + 2n)-dimensional companion matrix that carries the two
 command components through the delay line; the tests check the count against
 them, and M0 and Mn against finite differences of the nonlinear step.)
 
+The search needs few counts because the boundary has a closed-form guess. On
+a circle n_max lies within one lag of the smaller of two decoupled mode
+limits (`_mode_limit`): the longitudinal loop x[k+1] = x[k] - k_x ts x[k-n]
+(Levin & May, 1976) and the lateral delay margin tau nu ~ 8.09 m of
+s^2 + e^(-s tau) (k_theta nu s + k_y nu^2) at the default gains. The search
+counts lag 0, that guess and one neighbour, and brackets further only when
+the guess was wrong. Like any bracket it assumes that every lag up to n_max
+is stable and none just above it is; the tests check that on small tracks.
+
 An ellipse is tested in frozen time: the loop above is formed at the
 operating points of FROZEN_POINTS track samples spaced evenly in speed from
 the slowest to the fastest (on the constant-rate ellipse the speed fixes the
@@ -194,6 +203,27 @@ def _operating_points(track: ReferenceTrack, g: Gains) -> tuple[_OperatingPoint,
     return tuple(_operating_point(track, g, k) for k in steps)
 
 
+def _mode_limit(nu: float, ts: float, g: Gains) -> float:
+    """The lag at which the first of two decoupled modes of the circle's loop
+    loses stability; n_max lies within a lag of it on the circles checked.
+
+    Longitudinal: x[k+1] = x[k] - a x[k-n] with a = k_x ts is stable iff
+    a < 2 sin(pi / (2 (2n + 1))) (Levin & May, 1976). Lateral: the delay
+    margin of s^2 + e^(-s tau) (k_theta nu s + k_y nu^2) is
+    tau = atan(k_theta w / k_y) / (w nu), or tau / ts lags, with the
+    crossover at s = i w nu and w^2 = (k_theta^2 + sqrt(k_theta^4 + 4 k_y^2)) / 2.
+    """
+    w = math.sqrt(0.5 * (g.k_theta ** 2
+                         + math.hypot(g.k_theta ** 2, 2.0 * g.k_y)))
+    try:
+        longitudinal = (0.25 * math.pi / math.asin(min(0.5 * g.k_x * ts, 1.0))
+                        - 0.5)
+        lateral = math.atan(g.k_theta * w / g.k_y) / (w * nu * ts)
+    except ZeroDivisionError:   # k_x ts or nu ts underflowed: no bound
+        return math.inf
+    return min(longitudinal, lateral)
+
+
 @dataclass(frozen=True)
 class CandidateScan:
     """One lag candidate, classified by its largest root modulus.
@@ -256,8 +286,12 @@ def outage_tolerance(track: ReferenceTrack, g: Gains,
                      margin: float = 0.0) -> StabilityReport:
     """Largest lag n at which the delayed loop is stable.
 
-    Every lag is decided by root counts: lag 0 first, then an exponential
-    ramp and a bisection find the boundary. No spectral radius is computed
+    Every lag is decided by root counts: lag 0 first, then the seed n^,
+    the lag of `_mode_limit` at the fastest operating point (lag 1 under a
+    margin or past an eighth of the lap), then n^ + 1 if n^ is stable or
+    n^ - 1 if not. On the circles checked that settles the boundary; where
+    the seed is wrong, the bracket grows upward in doubling steps, or falls
+    to (0, n^ - 1), and a bisection ends it. No spectral radius is computed
     here; the report's history brackets those of lag 0, n_max and n_max + 1
     when it is read. When lag 0 already fails, first_violation_step is the
     track step of the fastest operating point with a root on or outside
@@ -283,12 +317,30 @@ def outage_tolerance(track: ReferenceTrack, g: Gains,
     def counted_stable(n: int) -> bool:
         return all(p.roots_outside(n, limit) == 0 for p in points)
 
-    lo, n = 0, 1
-    while n < cap and counted_stable(n):
-        lo, n = n, 2 * n
-    hi = min(n, cap)
-    if n >= cap and counted_stable(cap):
-        lo = cap
+    # lo is counted stable; hi is counted unstable, or lies past the cap
+    lo, hi = 0, cap + 1
+    # the mode limits are unit-circle crossings of a loop whose heading turns
+    # little over the delay. Under a margin the slow mode can bind far below
+    # them, and on a lap so short that the seed's delay turns the heading by
+    # pi/4 or more, stability can come back further up the lap; there the
+    # bracket grows from lag 1 instead
+    guess = _mode_limit(float(track.nus[points[0].step]), track.ts, g)
+    if margin > 0.0 or 8.0 * guess >= track.n_steps:
+        guess = 1.0
+    seed = min(max(int(guess), 1), cap)
+    if counted_stable(seed):
+        lo, step = seed, 1
+        while lo < cap:
+            n = min(lo + step, cap)
+            if not counted_stable(n):
+                hi = n
+                break
+            lo, step = n, 2 * step
+    elif seed > 1 and counted_stable(seed - 1):
+        lo, hi = seed - 1, seed
+    else:
+        # the seed lies far above the boundary: bisect below it
+        hi = max(seed - 1, 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if counted_stable(mid):

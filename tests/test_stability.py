@@ -17,7 +17,8 @@ from agvlink import (
     simulate_closed_loop,
     write_stability_csv,
 )
-from agvlink.stability import _error_frame_loop, _OperatingPoint
+from agvlink.analysis import DEFAULT_TRACE_GRID
+from agvlink.stability import _error_frame_loop, _mode_limit, _OperatingPoint
 
 from conftest import (delayed_position_error, jacobian_fd_pairs,
                       settles_under_delay)
@@ -142,7 +143,8 @@ def test_outage_tolerance_radii_cover_scan_range(search_track, gains):
 def test_outage_tolerance_decides_by_counts_alone(monkeypatch, search_track,
                                                   gains):
     # the search brackets no spectral radius, and its root counts stay
-    # within lag 0 plus the ramp and the bisection at each operating point
+    # within lag 0 plus a doubling bracket and a bisection at each operating
+    # point; at the default gains the seed alone settles the boundary
     def no_radius(self, n, limit):
         raise AssertionError(f"spectral radius of lag {n} computed")
 
@@ -164,6 +166,81 @@ def test_outage_tolerance_decides_by_counts_alone(monkeypatch, search_track,
         report = outage_tolerance(track, gains, margin)
         bound = 2 * math.ceil(math.log2(report.n_max + 2)) + 3
         assert 0 < len(counts) <= bound * len(report.points), (track, margin)
+    # lag 0, the seed and the lag next to it: one count each on a circle;
+    # five, five and one on the ellipse, whose fastest point fails first.
+    # Under a margin the slow point of a slow ellipse binds at lag 0, far
+    # below the seed, and lags 0 and 1 take five counts each
+    slow = build_reference_track(
+        TrackSpec(shape="ellipse", semi_axis_b=200.0), 200.0, 2e-3)
+    exact = [(build_reference_track(TrackSpec(), trace_time, 1e-3), 0.0, 3)
+             for trace_time in DEFAULT_TRACE_GRID]
+    exact += [(ellipse, 0.0, 11), (slow, 1e-3, 10)]
+    for track, margin, expected in exact:
+        counts.clear()
+        outage_tolerance(track, gains, margin)
+        assert len(counts) == expected, (track.spec, track.trace_time, margin)
+
+
+# (track, trace time, ts, gains, margin): small tracks on which to check that
+# the boundary the search assumes is real
+MONOTONE_CASES = [
+    (TrackSpec(), 20.0, 4e-3, Gains(), 0.0),
+    (TrackSpec(), 20.0, 8e-3, Gains(), 0.0),
+    (TrackSpec(shape="ellipse", semi_axis_b=200.0), 20.0, 4e-3, Gains(), 0.0),
+    (TrackSpec(), 2.0, 1e-3, Gains(), 0.0),
+    (TrackSpec(), 2.0, 1e-3, Gains(), 2e-2),
+    (TrackSpec(), 20.0, 8e-3, Gains(k_x=1.0), 0.0),
+]
+
+
+@pytest.mark.parametrize("spec, trace_time, ts, g, margin", MONOTONE_CASES)
+def test_search_boundary_is_monotone(spec, trace_time, ts, g, margin):
+    # the seed, its doubling bracket and the bisection all assume that every
+    # lag up to n_max is stable and none above it is: count each lag from 0
+    # to 2 n_max + 2 at every operating point
+    report = outage_tolerance(build_reference_track(spec, trace_time, ts), g,
+                              margin)
+    assert not report.capped
+    first_unstable = (report.n_max + 1 if report.first_violation_step is None
+                      else 0)
+    for n in range(2 * report.n_max + 3):
+        stable = all(p.roots_outside(n, 1.0 - margin) == 0
+                     for p in report.points)
+        assert stable == (n < first_unstable), (n, report.n_max)
+
+
+def test_search_reports_first_boundary_on_short_lap(gains):
+    # on a 1 m circle sampled 80 times a lap the lateral limit (~103 lags)
+    # lies past the lap, and lags 64-79, whose delay turns the heading most
+    # of a lap, are stable again; a seed there would report the cap
+    track = build_reference_track(TrackSpec(semi_axis_a=1.0), 0.08, 1e-3)
+    assert track.n_steps == 80
+    report = outage_tolerance(track, gains)
+    assert (report.n_max, report.capped) == (18, False)
+    assert evaluate_candidate(track, gains, 79).stable
+    assert not evaluate_candidate(track, gains, 63).stable
+
+
+def test_circle_nmax_is_the_smaller_mode_limit():
+    # the longitudinal (Levin-May) and lateral (delay margin) limits in closed
+    # form put n_max within a lag on every circle of up to 5e5 steps; a seed
+    # with k_theta doubled halves the lateral limit and must miss where that
+    # mode binds
+    cases = []
+    for trace_time in (20.0, 25.0, 30.0, 40.0, 100.0, 500.0, 1000.0):
+        for ts in (1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 4e-3, 8e-3):
+            if trace_time / ts <= 5e5 + 1:
+                track = build_reference_track(TrackSpec(), trace_time, ts)
+                cases.append((outage_tolerance(track, Gains()).n_max,
+                              float(track.nus[0]), ts))
+    assert len(cases) == 41
+
+    def offsets(g):
+        return [n_max - int(_mode_limit(nu, ts, g)) for n_max, nu, ts in cases]
+
+    assert all(abs(d) <= 1 for d in offsets(Gains())), offsets(Gains())
+    mutated = offsets(Gains(k_theta=2 * Gains().k_theta))
+    assert sum(abs(d) > 1 for d in mutated) >= 10, mutated
 
 
 def test_outage_tolerance_monotone_in_margin(search_track, gains):
