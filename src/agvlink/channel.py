@@ -67,7 +67,6 @@ class OutageModel:
     phi: float
     p1: float
     p_bb: float
-    phi_convention: str = "zorzi_sqrt"
 
 
 def spectral_efficiency(payload_bits: float, num_agvs: float, ts: float,
@@ -196,8 +195,7 @@ def build_outage_model(link: LinkParams, ts: float, velocity: float,
     phi = phi_variable(gamma_th, abs(rho), convention)
     return OutageModel(gamma_th=gamma_th, rho=rho, phi=phi,
                        p1=outage_probability(gamma_th),
-                       p_bb=back_to_back_prob(gamma_th, rho, convention),
-                       phi_convention=convention)
+                       p_bb=back_to_back_prob(gamma_th, rho, convention))
 
 
 # --- samplers --------------------------------------------------------------

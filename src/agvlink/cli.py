@@ -9,7 +9,7 @@ falls back to the built-in factory defaults (10 MHz shared by 50 vehicles,
     bandwidth_hz = 10000000.0
     num_agvs = 50
     payload_bytes = 78.0
-    ; or snr_linear = 10.0 (not both); flag --snr-db
+    ; flag --snr-db
     snr_db = 10.0
     carrier_freq_hz = 5900000000.0
 
@@ -24,13 +24,10 @@ falls back to the built-in factory defaults (10 MHz shared by 50 vehicles,
     semi_axis_a_m = 350.0
     ; ellipse only (a circle refuses it); defaults to semi_axis_a_m
     ; semi_axis_b_m = 200.0
-    start_angle_rad = 3.141592653589793
-    ; or cw
-    direction = ccw
 
     [sim]
-    ; or ts_ms = 1.0 (not both); flag --ts-ms
-    ts_s = 0.001
+    ; flag --ts-ms
+    ts_ms = 1.0
     ; flag --trace-time-s
     trace_time_s = 500.0
     ; or paper_literal; flag --phi-convention
@@ -46,15 +43,14 @@ falls back to the built-in factory defaults (10 MHz shared by 50 vehicles,
     ; flag --grid-s
     trace_grid_s = 20, 100, 333, 500, 1000
 
-Unknown sections or keys are rejected with a diagnostic naming the key.
-Each flag shared by the subcommands is the key it names: the same parser
-checks both, and the flag's value replaces the file's, whichever spelling
-the file used. The subcommand-only options (--velocity-mps, --n-list,
---steps, --burst-start, --burst-len, --runs) go through the same family of
-parsers, so every option is checked once and a bad value is reported with
-its flag's name. Exit codes: 0 success (including sweeps with flagged failure
-rows, each also reported on standard error), 2 for configuration or usage
-errors, 3 for internal consistency violations.
+Unknown sections or keys are rejected with a diagnostic naming the key. Each
+flag shared by the subcommands is the key it names: the same parser checks
+both, and the flag's value replaces the file's. The subcommand-only options
+(--velocity-mps, --n-list, --steps, --burst-start, --burst-len, --runs) go
+through the same family of parsers, so every option is checked once and a
+bad value is reported with its flag's name. Exit codes: 0 success (including
+sweeps with flagged failure rows, each also reported on standard error), 2
+for configuration or usage errors, 3 for internal consistency violations.
 """
 
 from __future__ import annotations
@@ -195,25 +191,20 @@ class CliConfig:
     trace_grid: tuple[float, ...] = DEFAULT_TRACE_GRID
 
 
-# section -> key -> (dataclass, field, parser); two keys naming one field are
-# alternative spellings of it, and a file may give only one of them
+# section -> key -> (dataclass, field, parser)
 _SCHEMA = {
     "link": {"bandwidth_hz": (LinkParams, "bandwidth_hz", _positive),
              "num_agvs": (LinkParams, "num_agvs", _integer(1)),
              "payload_bytes": (LinkParams, "payload_bits", _payload_bits),
              "snr_db": (LinkParams, "avg_snr", _snr_db),
-             "snr_linear": (LinkParams, "avg_snr", _positive),
              "carrier_freq_hz": (LinkParams, "carrier_freq_hz", _positive)},
     "gains": {"k_x_per_s": (Gains, "k_x", _positive),
               "k_y_per_m": (Gains, "k_y", _positive),
               "k_theta_per_m": (Gains, "k_theta", _positive)},
     "track": {"shape": (TrackSpec, "shape", _choice("circle", "ellipse")),
               "semi_axis_a_m": (TrackSpec, "semi_axis_a", _positive),
-              "semi_axis_b_m": (TrackSpec, "semi_axis_b", _positive),
-              "start_angle_rad": (TrackSpec, "start_angle", _number),
-              "direction": (TrackSpec, "direction", _choice("ccw", "cw"))},
-    "sim": {"ts_s": (ScenarioConfig, "ts", _positive),
-            "ts_ms": (ScenarioConfig, "ts",
+              "semi_axis_b_m": (TrackSpec, "semi_axis_b", _positive)},
+    "sim": {"ts_ms": (ScenarioConfig, "ts",
                       lambda raw, name: _positive(raw, name) * 1e-3),
             "trace_time_s": (ScenarioConfig, "trace_time", _positive),
             "phi_convention": (ScenarioConfig, "phi_convention",
@@ -235,7 +226,7 @@ def _read_values(path: str | None) -> dict:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from None
-    values, given = {}, {}
+    values = {}
     for sec in parser.sections():
         if sec not in _SCHEMA:
             raise ConfigError(
@@ -247,13 +238,8 @@ def _read_values(path: str | None) -> dict:
                     f"unknown key {sec}.{key}; accepted keys in [{sec}]: "
                     f"{', '.join(_SCHEMA[sec])}")
             cls, field, parse = _SCHEMA[sec][key]
-            name = f"{sec}.{key}"
-            if (cls, field) in given:
-                raise ConfigError(f"{given[cls, field]} and {name} are "
-                                  "mutually exclusive; give one")
-            given[cls, field] = name
             if raw:
-                values[cls, field] = parse(raw, name)
+                values[cls, field] = parse(raw, f"{sec}.{key}")
     return values
 
 

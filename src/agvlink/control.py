@@ -61,19 +61,16 @@ class TrackSpec:
 
     shape 'circle' uses semi_axis_a as the radius; 'ellipse' uses both
     semi-axes with a constant-rate parameter (speed varies along the path).
+    A lap starts at (-semi_axis_a, 0) and runs counter-clockwise.
     """
 
     shape: str = "circle"
     semi_axis_a: float = 350.0
     semi_axis_b: float | None = None
-    start_angle: float = math.pi
-    direction: str = "ccw"
 
     def __post_init__(self) -> None:
         if self.shape not in ("circle", "ellipse"):
             raise ParameterError(f"unknown track shape {self.shape!r}")
-        if self.direction not in ("ccw", "cw"):
-            raise ParameterError(f"unknown track direction {self.direction!r}")
         if self.shape == "circle" and self.semi_axis_b is not None:
             raise ParameterError("a circle's radius is semi_axis_a; "
                                  "semi_axis_b is for an ellipse only")
@@ -111,7 +108,7 @@ class ReferenceTrack:
         return float(np.max(self.nus))
 
     def heading_per_lap(self) -> float:
-        """Accumulated heading change over one closed lap (+-2*pi)."""
+        """Accumulated heading change over one closed lap (+2*pi)."""
         return float(self.thetas[-1] - self.thetas[0])
 
 
@@ -133,14 +130,13 @@ def build_reference_track(spec: TrackSpec, trace_time: float, ts: float) -> Refe
         raise ParameterError(f"trace_time / ts = {trace_time!r} / {ts!r} "
                              "is not a finite step count")
     n_steps = math.ceil(steps)
-    sign = 1.0 if spec.direction == "ccw" else -1.0
     a, b = spec.semi_axis_a, spec.axis_b
 
-    phi_dot = sign * TWO_PI / (n_steps * ts)
+    phi_dot = TWO_PI / (n_steps * ts)
     # an array beyond numpy's largest size (ValueError) or beyond the memory
     # left (MemoryError) makes the lap too long to sample
     try:
-        phi = spec.start_angle + sign * TWO_PI * np.arange(n_steps + 1) / n_steps
+        phi = math.pi + TWO_PI * np.arange(n_steps + 1) / n_steps
         # one cosine and one sine of phi, each freed before the next is taken
         cos_phi = np.cos(phi)
         xs = a * cos_phi
@@ -151,15 +147,22 @@ def build_reference_track(spec: TrackSpec, trace_time: float, ts: float) -> Refe
         ys = b * sin_phi
         x_dot = -a * sin_phi * phi_dot
         del sin_phi
-        nus = np.hypot(x_dot, y_dot)
         # curvature rate omega = (x' y'' - y' x'') / nu^2 with the second
-        # derivatives of the constant-rate parametrization
-        omegas = (a * b * phi_dot**3) / (nus * nus)
+        # derivatives of the constant-rate parametrization; what is not
+        # finite is refused below
+        with np.errstate(all="ignore"):
+            nus = np.hypot(x_dot, y_dot)
+            omegas = (a * b * phi_dot**3) / (nus * nus)
         thetas = np.unwrap(np.arctan2(y_dot, x_dot))
     except (MemoryError, ValueError):
         raise ParameterError(f"trace_time / ts = {trace_time!r} / {ts!r} "
                              f"needs {n_steps} steps, too many to "
                              "sample") from None
+    # a semi-axis so small that nu * nu underflows gives 0 / 0 turn rates,
+    # and one so large that it overflows gives inf / inf
+    if not (np.isfinite(nus).all() and np.isfinite(omegas).all()):
+        raise ParameterError(f"track semi-axes {a!r} and {b!r} m give a "
+                             "speed or turn rate that is not finite")
 
     return ReferenceTrack(xs=xs, ys=ys, thetas=thetas, nus=nus, omegas=omegas,
                           ts=float(ts), trace_time=float(trace_time), spec=spec)

@@ -284,7 +284,6 @@ def test_build_outage_model_nominal_point():
     assert rel_close(model.p_bb, ref_pbb, 1e-9)
     assert model.p_bb == pytest.approx(0.837791513, abs=5e-9)
     assert model.phi == phi_variable(model.gamma_th, abs(model.rho))
-    assert model.phi_convention == "zorzi_sqrt"
 
 
 def test_build_outage_model_fast_lap_negative_rho():
@@ -300,7 +299,6 @@ def test_build_outage_model_fast_lap_negative_rho():
 def test_build_outage_model_literal_convention():
     model = build_outage_model(LinkParams(), ts=1e-3, velocity=4.0,
                                convention="paper_literal")
-    assert model.phi_convention == "paper_literal"
     assert model.phi == pytest.approx(
         phi_variable(model.gamma_th, abs(model.rho), "paper_literal"),
         rel=1e-15)

@@ -96,21 +96,16 @@ trace_time_s = 200.0
     assert cfg.link.payload_bits == 312
     assert cfg.ts == pytest.approx(2.5e-3, rel=1e-15)
     assert cfg.trace_time == 200.0
-    # the lossless spellings are read back bit for bit
+    # the keys without a unit conversion are read back bit for bit
     text = """
 [link]
 bandwidth_hz = 20000000.0
 num_agvs = 7
-snr_linear = 3.7
 carrier_freq_hz = 2400000000.0
-
-[sim]
-ts_s = 0.0025
 """
     cfg = load_config(write(tmp_path, text)).scenario
     assert cfg.link == replace(ScenarioConfig().link, bandwidth_hz=2e7,
-                               num_agvs=7, avg_snr=3.7, carrier_freq_hz=2.4e9)
-    assert cfg.ts == 0.0025
+                               num_agvs=7, carrier_freq_hz=2.4e9)
 
 
 def test_load_config_ellipse_and_gains(tmp_path):
@@ -124,8 +119,6 @@ k_theta_per_m = 0.2
 shape = ellipse
 semi_axis_a_m = 350.0
 semi_axis_b_m = 200.0
-start_angle_rad = 0.25
-direction = cw
 
 [sim]
 phi_convention = paper_literal
@@ -136,8 +129,6 @@ seed = 42
     assert cfg.gains == Gains(k_x=5.0, k_y=0.01, k_theta=0.2)
     assert cfg.track.shape == "ellipse"
     assert cfg.track.semi_axis_b == 200.0
-    assert cfg.track.start_angle == 0.25
-    assert cfg.track.direction == "cw"
     assert cfg.phi_convention == "paper_literal"
     assert cfg.margin == 1e-3
     assert cfg.seed == 42
@@ -159,14 +150,14 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(write(tmp_path, "[link]\nbandwidth_mhz = 10\n"))
     with pytest.raises(ConfigError, match=r"\[made_up\]"):
         load_config(write(tmp_path, "[made_up]\nfoo = 1\n"))
-
-
-def test_load_config_mutual_exclusions(tmp_path):
-    with pytest.raises(ConfigError, match="mutually exclusive"):
-        load_config(write(tmp_path,
-                          "[link]\nsnr_db = 10\nsnr_linear = 10\n"))
-    with pytest.raises(ConfigError, match="mutually exclusive"):
-        load_config(write(tmp_path, "[sim]\nts_s = 0.001\nts_ms = 1\n"))
+    # keys that are no longer read fail loudly and name the accepted ones
+    for sec, key, accepted in (("sim", "ts_s", "ts_ms"),
+                               ("link", "snr_linear", "snr_db"),
+                               ("track", "start_angle_rad", "semi_axis_a_m"),
+                               ("track", "direction", "shape")):
+        with pytest.raises(ConfigError, match=rf"unknown key {sec}\.{key}; "
+                           rf"accepted keys in \[{sec}\]: .*\b{accepted}\b"):
+            load_config(write(tmp_path, f"[{sec}]\n{key} = 1\n"))
 
 
 def test_load_config_rejects_bad_values(tmp_path):
@@ -214,10 +205,15 @@ def test_main_config_error_is_exit_2(tmp_path, capsys):
     path = write(tmp_path, "[link]\nwat = 1\n")
     assert main(["nmax", "--config", path]) == 2
     assert "link.wat" in capsys.readouterr().err
-    # a subnormal linear SNR passes the key check; its threshold is refused
-    path = write(tmp_path, "[link]\nsnr_linear = 1e-320\n")
+    # a billion vehicles pass the key check; the 2**R they need overflows
+    path = write(tmp_path, "[link]\nnum_agvs = 1000000000\n")
     assert main(["channel", "--config", path]) == 2
     assert "not finite" in capsys.readouterr().err
+    # a semi-axis so small that the track's turn rates are 0 / 0
+    path = write(tmp_path, "[track]\nsemi_axis_a_m = 1e-320\n")
+    for args in (["nmax"], ["simulate"], ["montecarlo", "--cosimulate"]):
+        assert main(args + ["--config", path, "--trace-time-s", "20"]) == 2
+        assert "track semi-axes 1e-320" in capsys.readouterr().err, args
     # a circle takes no second semi-axis
     path = write(tmp_path, "[track]\nshape = circle\nsemi_axis_b_m = 200\n")
     assert main(["simulate", "--config", path, "--trace-time-s", "20",
@@ -417,11 +413,11 @@ def test_flag_overrides_config_file(tmp_path, capsys):
     assert rate == pytest.approx(0.624, rel=1e-12)
 
 
-def test_flag_replaces_either_spelling_of_its_key(tmp_path, capsys):
+def test_flag_replaces_its_config_key(tmp_path, capsys):
     base = ["channel", "--velocity-mps", "4.4"]
     assert main(base) == 0
     defaults = capsys.readouterr().out
-    path = write(tmp_path, "[link]\nsnr_linear = 3\n[sim]\nts_s = 0.005\n")
+    path = write(tmp_path, "[link]\nsnr_db = 3\n[sim]\nts_ms = 5\n")
     assert main(base + ["--config", path, "--ts-ms", "1",
                         "--snr-db", "10"]) == 0
     assert capsys.readouterr().out == defaults
@@ -471,8 +467,9 @@ def test_sweep_with_flagged_row_still_exits_zero(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "ts_s = 0.002" in err[0] and "sampling period" in err[0]
-    # a subnormal SNR fails every point; its message is kept
-    path = write(tmp_path, "[link]\nsnr_linear = 1e-320\n")
+    # a billion vehicles make 2**R overflow at every point; the message is
+    # kept
+    path = write(tmp_path, "[link]\nnum_agvs = 1000000000\n")
     assert main(["sweep-trace", "--config", path, "--grid-s", "20",
                  "--out", str(out)]) == 0
     assert out.read_text().splitlines()[-1].endswith(",error:ParameterError")

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -171,12 +172,6 @@ def test_track_start_pose_matches_tangent():
                                        2.0 * math.pi), 0.0, abs_tol=1e-12)
 
 
-def test_track_clockwise_flips_turn_rate():
-    tr = build_reference_track(TrackSpec(direction="cw"), 100.0, 1e-2)
-    assert np.all(tr.omegas < 0.0)
-    assert math.isclose(tr.heading_per_lap(), -2.0 * math.pi, rel_tol=1e-9)
-
-
 def test_track_closure():
     for spec, T in ((TrackSpec(), 125.0),
                     (TrackSpec(shape="ellipse", semi_axis_a=350.0,
@@ -238,8 +233,11 @@ def test_track_invalid_parameters():
         TrackSpec(shape="circle", semi_axis_b=200.0)
     with pytest.raises(ParameterError):
         TrackSpec(shape="square")
-    with pytest.raises(ParameterError):
-        TrackSpec(direction="widdershins")
+    # semi-axes so small (0 / 0) or so large (inf / inf) that nu * nu leaves
+    # no finite turn rate
+    for a in (1e-320, 1e308):
+        with pytest.raises(ParameterError, match=re.escape(f"semi-axes {a!r}")):
+            build_reference_track(TrackSpec(semi_axis_a=a), 20.0, 1e-3)
 
 
 # --- closed-loop simulation -------------------------------------------------------
@@ -422,17 +420,15 @@ def assert_same_csv(got: str, want: str, rows: int) -> None:
 
 
 def test_trajectory_csv_matches_per_row_repr(tiny_track, gains):
-    cw = build_reference_track(TrackSpec(semi_axis_a=10.0, direction="cw"),
-                               4.0, 5e-3)
+    circle = build_reference_track(TrackSpec(semi_axis_a=10.0), 4.0, 5e-3)
     ellipse = build_reference_track(TrackSpec(shape="ellipse",
                                               semi_axis_a=350.0,
                                               semi_axis_b=200.0), 20.0, 1e-2)
-    assert cw.heading_per_lap() < 0.0 < ellipse.heading_per_lap()
-    # block edges at 1024 rows, 2.5 laps of each turn sense
+    # block edges at 1024 rows, 2.5 laps of a fast circle and of an ellipse
     cases = [(simulate_closed_loop(tiny_track, gains, lossy(n)), tiny_track)
              for n in (1, 1023, 1024, 1025, 2 * 1024 + 3)]
     cases += [(simulate_closed_loop(tr, gains, lossy(5 * tr.n_steps // 2)), tr)
-              for tr in (cw, ellipse)]
+              for tr in (circle, ellipse)]
     # values whose shortest repr differs from a fixed-precision format
     special = np.array([-0.0, 1e-05, 1.5e-07, 1e16, 1.2345678901234568e17,
                         5e-324, math.nan, math.inf, -math.inf])
