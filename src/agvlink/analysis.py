@@ -261,8 +261,7 @@ def _write_runs(out, cfg: ScenarioConfig, model: OutageModel, slots: int,
 
 
 def montecarlo_instability(cfg: ScenarioConfig, runs: int,
-                           cosimulate: bool = False,
-                           point: PointResult | None = None) -> MonteCarloResult:
+                           cosimulate: bool = False) -> MonteCarloResult:
     """Empirical instability frequency over sampled fading traces.
 
     Each run draws one fading sequence covering the whole trace (stream =
@@ -281,8 +280,7 @@ def montecarlo_instability(cfg: ScenarioConfig, runs: int,
     """
     if runs < 1:
         raise ParameterError("runs must be at least 1")
-    if point is None:
-        point = instability_probability(cfg)
+    point = instability_probability(cfg)
     slots = int(math.ceil(cfg.trace_time / cfg.ts))
     track = build_reference_track(cfg.track, cfg.trace_time, cfg.ts) \
         if cosimulate else None

@@ -474,6 +474,13 @@ def main(argv=None) -> int:
     except ParameterError as exc:          # includes ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # a writer could not open the --out path; other failures propagate
+        if args.out is None or exc.filename != args.out:
+            raise
+        print(f"error: cannot write --out {args.out}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     except (NumericConsistencyError, ArithmeticError, LookupError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3

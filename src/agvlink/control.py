@@ -96,7 +96,6 @@ class ReferenceTrack:
     nus: np.ndarray
     omegas: np.ndarray
     ts: float
-    trace_time: float
     spec: TrackSpec
 
     @property
@@ -158,6 +157,10 @@ def build_reference_track(spec: TrackSpec, trace_time: float, ts: float) -> Refe
         raise ParameterError(f"trace_time / ts = {trace_time!r} / {ts!r} "
                              f"needs {n_steps} steps, too many to "
                              "sample") from None
+    except OverflowError:   # phi_dot**3 on a lap of few, very short steps
+        raise ParameterError(f"trace_time / ts = {trace_time!r} / {ts!r} "
+                             "gives a turn rate too large to "
+                             "represent") from None
     # a semi-axis so small that nu * nu underflows gives 0 / 0 turn rates,
     # and one so large that it overflows gives inf / inf
     if not (np.isfinite(nus).all() and np.isfinite(omegas).all()):
@@ -165,7 +168,7 @@ def build_reference_track(spec: TrackSpec, trace_time: float, ts: float) -> Refe
                              "speed or turn rate that is not finite")
 
     return ReferenceTrack(xs=xs, ys=ys, thetas=thetas, nus=nus, omegas=omegas,
-                          ts=float(ts), trace_time=float(trace_time), spec=spec)
+                          ts=float(ts), spec=spec)
 
 
 def tracking_error(x_r: float, y_r: float, theta_r: float,

@@ -84,24 +84,13 @@ def _char_poly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _OperatingPoint:
-    """Error-frame delayed loop at one track step: M0 and Mn = u @ v."""
+    """Error-frame delayed loop at one track step."""
 
     step: int
-    m0: np.ndarray   # 3x3
-    u: np.ndarray    # 3x2, the command's effect on the next error
-    v: np.ndarray    # 2x3, the command's dependence on the stale error
     # rows a0, a1, a2 of det(z I - M0 - w Mn) = a0 + w a1 + w^2 a2, as cubics
     # in s = z - 1, whose coefficients scale with ts and keep their digits
     # near z = 1
-    poly: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        d0 = self.m0 - np.eye(3)
-        mn = self.u @ self.v
-        a0 = _char_poly(d0)
-        plus, minus = _char_poly(d0 + mn), _char_poly(d0 - mn)
-        object.__setattr__(self, "poly", np.array(
-            [a0, 0.5 * (plus - minus), 0.5 * (plus + minus) - a0])[:, :, None])
+    poly: np.ndarray = field(repr=False)
 
     def spectral_radius(self, n: int, limit: float) -> float:
         """Largest root modulus, bracketed by root counts to within 1e-12.
@@ -189,7 +178,12 @@ def _operating_point(track: ReferenceTrack, g: Gains, k: int) -> _OperatingPoint
     nu = float(track.nus[k])
     delta = float(track.thetas[k + 1] - track.thetas[k])
     m0, u, v = _error_frame_loop(nu, delta, track.ts, g)
-    return _OperatingPoint(step=k, m0=m0, u=u, v=v)
+    d0 = m0 - np.eye(3)
+    mn = u @ v
+    a0 = _char_poly(d0)
+    plus, minus = _char_poly(d0 + mn), _char_poly(d0 - mn)
+    return _OperatingPoint(k, np.array(
+        [a0, 0.5 * (plus - minus), 0.5 * (plus + minus) - a0])[:, :, None])
 
 
 def _operating_points(track: ReferenceTrack, g: Gains) -> tuple[_OperatingPoint, ...]:
@@ -247,9 +241,6 @@ class StabilityReport:
     """
 
     n_max: int
-    first_violation_step: int | None
-    ts: float
-    trace_time: float
     margin: float = 0.0
     capped: bool = False
     lags: tuple[int, ...] = ()
@@ -293,10 +284,8 @@ def outage_tolerance(track: ReferenceTrack, g: Gains,
     the seed is wrong, the bracket grows upward in doubling steps, or falls
     to (0, n^ - 1), and a bisection ends it. No spectral radius is computed
     here; the report's history brackets those of lag 0, n_max and n_max + 1
-    when it is read. When lag 0 already fails, first_violation_step is the
-    track step of the fastest operating point with a root on or outside
-    1 - margin. Candidates are capped at n_steps - 1; hitting the cap is
-    flagged since the failure side cannot then be verified.
+    when it is read. Candidates are capped at n_steps - 1; hitting the cap
+    is flagged since the failure side cannot then be verified.
     """
     _check_margin(margin)
     if track.n_steps < 1:
@@ -304,18 +293,12 @@ def outage_tolerance(track: ReferenceTrack, g: Gains,
     points = _operating_points(track, g)
     limit = 1.0 - margin
 
-    def report(n_max: int, lags: tuple[int, ...], **extra) -> StabilityReport:
-        return StabilityReport(n_max=n_max, ts=track.ts,
-                               trace_time=track.trace_time, margin=margin,
-                               lags=lags, points=points, **extra)
-
-    first = next((p.step for p in points if p.roots_outside(0, limit)), None)
-    if first is not None:
-        return report(0, (0,), first_violation_step=first)
-    cap = track.n_steps - 1
-
     def counted_stable(n: int) -> bool:
         return all(p.roots_outside(n, limit) == 0 for p in points)
+
+    if not counted_stable(0):
+        return StabilityReport(n_max=0, margin=margin, lags=(0,), points=points)
+    cap = track.n_steps - 1
 
     # lo is counted stable; hi is counted unstable, or lies past the cap
     lo, hi = 0, cap + 1
@@ -349,9 +332,10 @@ def outage_tolerance(track: ReferenceTrack, g: Gains,
             hi = mid
 
     lags = (0, lo) if lo > 0 else (0,)
-    if lo == cap:
-        return report(cap, lags, first_violation_step=None, capped=True)
-    return report(lo, lags + (lo + 1,), first_violation_step=None)
+    capped = lo == cap
+    return StabilityReport(n_max=lo, margin=margin, capped=capped,
+                           lags=lags if capped else lags + (lo + 1,),
+                           points=points)
 
 
 STABILITY_COLUMNS = ["n_candidate", "stable_flag", "worst_spectral_radius",

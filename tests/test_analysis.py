@@ -50,6 +50,13 @@ def short_point(short_cfg):
     return instability_probability(short_cfg)
 
 
+@pytest.fixture
+def inject_point(monkeypatch):
+    """Make `montecarlo_instability` count bursts against the given point."""
+    return lambda point: monkeypatch.setattr(
+        analysis, "instability_probability", lambda cfg: point)
+
+
 # --- configuration -----------------------------------------------------------
 
 def test_scenario_config_defaults_and_validation():
@@ -95,7 +102,6 @@ def test_instability_probability_factorization(short_point):
         assert rel_close(pt.p_us, 10.0 ** pt.log10_p_us, 1e-9)
     # the channel is evaluated at the track's top speed
     assert pt.nu_max == pytest.approx(2 * math.pi * 350.0 / 2.0, rel=1e-12)
-    assert pt.report.ts == 1e-3
 
 
 def test_instability_probability_nmax_zero_flag(short_cfg):
@@ -234,14 +240,16 @@ def test_wilson_interval_validation():
 
 # --- Monte-Carlo driver ------------------------------------------------------
 
-def test_montecarlo_counting_consistency(short_cfg, short_point):
+def test_montecarlo_counting_consistency(short_cfg, short_point,
+                                         inject_point):
     # probe the burst spread first, then inject a tolerance between the
     # extremes so both outcomes occur across the same 64 runs
-    probe = montecarlo_instability(short_cfg, runs=64, point=short_point)
+    probe = montecarlo_instability(short_cfg, runs=64)
     bursts = [r.max_burst_len for r in probe.rows]
     assert min(bursts) < max(bursts)
     fake = replace(short_point, n_max=min(bursts))
-    res = montecarlo_instability(short_cfg, runs=64, point=fake)
+    inject_point(fake)
+    res = montecarlo_instability(short_cfg, runs=64)
     assert res.runs == 64 and len(res.rows) == 64
     assert [r.run_id for r in res.rows] == list(range(64))
     assert all(r.seed == short_cfg.seed for r in res.rows)
@@ -256,13 +264,12 @@ def test_montecarlo_counting_consistency(short_cfg, short_point):
     assert all(math.isnan(r.max_tracking_error_m) for r in res.rows)
 
 
-def test_montecarlo_deterministic(short_cfg, short_point):
-    a = montecarlo_instability(short_cfg, runs=8, point=short_point)
-    b = montecarlo_instability(short_cfg, runs=8, point=short_point)
+def test_montecarlo_deterministic(short_cfg):
+    a = montecarlo_instability(short_cfg, runs=8)
+    b = montecarlo_instability(short_cfg, runs=8)
     assert a.rows == b.rows
     # different seed changes the drawn bursts
-    c = montecarlo_instability(replace(short_cfg, seed=999), runs=8,
-                               point=short_point)
+    c = montecarlo_instability(replace(short_cfg, seed=999), runs=8)
     assert [r.max_burst_len for r in c.rows] != [r.max_burst_len
                                                  for r in a.rows]
 
@@ -270,45 +277,41 @@ def test_montecarlo_deterministic(short_cfg, short_point):
 def test_montecarlo_cosimulate_records_error():
     cfg = ScenarioConfig(track=TrackSpec(semi_axis_a=10.0), trace_time=2.0,
                          ts=5e-3)
-    pt = instability_probability(cfg)
-    res = montecarlo_instability(cfg, runs=2, cosimulate=True, point=pt)
+    res = montecarlo_instability(cfg, runs=2, cosimulate=True)
     assert all(math.isfinite(r.max_tracking_error_m) for r in res.rows)
     assert all(r.max_tracking_error_m > 0.0 for r in res.rows)
 
 
-def test_montecarlo_rejects_bad_runs(short_cfg, short_point):
+def test_montecarlo_rejects_bad_runs(short_cfg):
     with pytest.raises(ParameterError):
-        montecarlo_instability(short_cfg, runs=0, point=short_point)
+        montecarlo_instability(short_cfg, runs=0)
 
 
 @needs_fork
 @pytest.mark.parametrize("cosimulate", [False, True])
-def test_montecarlo_split_matches_one_process(short_cfg, short_point, forks,
-                                              monkeypatch, cosimulate):
+def test_montecarlo_split_matches_one_process(short_cfg, forks, monkeypatch,
+                                              cosimulate):
     # 7 runs of 2000 slots are too little work to fork for ...
-    alone = montecarlo_instability(short_cfg, runs=7, cosimulate=cosimulate,
-                                   point=short_point)
+    alone = montecarlo_instability(short_cfg, runs=7, cosimulate=cosimulate)
     assert forks == []
     # ... until every slot is worth a share: 3 shares of 2, 2 and 3 runs
     monkeypatch.setattr(analysis, "_MIN_SHARE_SLOTS", 1)
-    split = montecarlo_instability(short_cfg, runs=7, cosimulate=cosimulate,
-                                   point=short_point)
+    split = montecarlo_instability(short_cfg, runs=7, cosimulate=cosimulate)
     assert len(forks) == 2
     assert split == alone
     assert [r.run_id for r in split.rows] == list(range(7))
     assert all(math.isnan(r.max_tracking_error_m) != cosimulate
                for r in split.rows)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert montecarlo_instability(short_cfg, runs=7, cosimulate=cosimulate,
-                                  point=short_point) == alone
+    assert montecarlo_instability(short_cfg, runs=7,
+                                  cosimulate=cosimulate) == alone
     assert len(forks) == 2
 
 
 @needs_fork
 @pytest.mark.parametrize("failing", ["child", "parent"])
-def test_montecarlo_split_failure_raises_and_reaps(short_cfg, short_point,
-                                                   forks, monkeypatch, capfd,
-                                                   failing):
+def test_montecarlo_split_failure_raises_and_reaps(short_cfg, forks,
+                                                   monkeypatch, capfd, failing):
     monkeypatch.setattr(analysis, "_MIN_SHARE_SLOTS", 1)
     real_write_runs = analysis._write_runs
 
@@ -321,7 +324,7 @@ def test_montecarlo_split_failure_raises_and_reaps(short_cfg, short_point,
     expected = ((RuntimeError, "Monte-Carlo runs from 2 exited with status 1")
                 if failing == "child" else (ValueError, "injected"))
     with pytest.raises(expected[0], match=expected[1]):
-        montecarlo_instability(short_cfg, runs=7, point=short_point)
+        montecarlo_instability(short_cfg, runs=7)
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):    # every child was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -378,9 +381,10 @@ def test_write_sweep_csv_accepts_handle(short_cfg):
     assert body[0] == ",".join(SWEEP_COLUMNS)
 
 
-def test_write_montecarlo_csv_schema(tmp_path, short_cfg, short_point):
-    fake = replace(short_point, n_max=3)
-    res = montecarlo_instability(short_cfg, runs=16, point=fake)
+def test_write_montecarlo_csv_schema(tmp_path, short_cfg, short_point,
+                                     inject_point):
+    inject_point(replace(short_point, n_max=3))
+    res = montecarlo_instability(short_cfg, runs=16)
     out = tmp_path / "mc.csv"
     write_montecarlo_csv(res, out)
     meta, body = _split_csv(out.read_text())

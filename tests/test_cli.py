@@ -219,6 +219,15 @@ def test_main_config_error_is_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", path, "--trace-time-s", "20",
                  "--ts-ms", "4"]) == 2
     assert "semi_axis_b is for an ellipse" in capsys.readouterr().err
+    # an --out path that cannot be opened is named, and nothing is written
+    out = tmp_path / "missing" / "x.csv"
+    for args in (["nmax"], ["channel"], ["sweep-trace", "--grid-s", "2"],
+                 ["simulate"], ["montecarlo", "--runs", "2"]):
+        assert main(args + ["--trace-time-s", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: cannot write --out {out}: "
+                                "No such file or directory\n"), args
+        assert captured.out == "", args
 
 
 def test_main_bad_flag_values_exit_2(capsys):
@@ -249,6 +258,12 @@ def test_main_bad_flag_values_exit_2(capsys):
     # rate overflows 2**R, are refused rather than failing in the arithmetic
     assert main(["nmax", "--ts-ms", "1e-320"]) == 2
     assert "not a finite step count" in capsys.readouterr().err
+    # a one-step lap so short that its turn rate's cube overflows
+    assert main(["simulate", "--ts-ms", "1e-297",
+                 "--trace-time-s", "1e-300"]) == 2
+    assert capsys.readouterr().err == ("error: trace_time / ts = 1e-300 / "
+                                       "1e-300 gives a turn rate too large "
+                                       "to represent\n")
     assert main(["channel", "--ts-ms", "1e-6", "--velocity-mps", "1"]) == 2
     assert "not finite" in capsys.readouterr().err
     # laps too long to sample are refused before numpy allocates anything

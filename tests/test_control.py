@@ -227,6 +227,10 @@ def test_track_invalid_parameters():
     for trace_time in (1e20, 1e12):
         with pytest.raises(ParameterError, match=r"trace_time / ts .* too many"):
             build_reference_track(TrackSpec(), trace_time, 1e-3)
+    # one step of 1e-300 s: the turn rate's cube overflows a float
+    with pytest.raises(ParameterError, match=re.escape(
+            "trace_time / ts = 1e-300 / 1e-300 gives a turn rate")):
+        build_reference_track(TrackSpec(), 1e-300, 1e-300)
     with pytest.raises(ParameterError):
         TrackSpec(semi_axis_a=-1.0)
     with pytest.raises(ParameterError, match="semi_axis_b is for an ellipse"):

@@ -53,16 +53,20 @@ def test_error_frame_loop_matches_finite_differences():
     assert worst < 1e-6
 
 
-def _companion(point, n):
-    """Reference: state matrix over (error, the last n command deviations),
-    whose eigenvalues are the roots of det(z^(n+1) I - z^n M0 - Mn)."""
+def _companion(track, g, k, n):
+    """Reference: state matrix over (error, the last n command deviations) at
+    track step k, whose eigenvalues are the roots of
+    det(z^(n+1) I - z^n M0 - Mn)."""
+    m0, u, v = _error_frame_loop(float(track.nus[k]),
+                                 float(track.thetas[k + 1] - track.thetas[k]),
+                                 track.ts, g)
     if n == 0:
-        return point.m0 + point.u @ point.v
+        return m0 + u @ v
     dim = 3 + 2 * n
     out = np.zeros((dim, dim))
-    out[:3, :3] = point.m0
-    out[:3, -2:] = point.u
-    out[3:5, :3] = point.v
+    out[:3, :3] = m0
+    out[:3, -2:] = u
+    out[3:5, :3] = v
     rows = np.arange(5, dim)
     out[rows, rows - 2] = 1.0
     return out
@@ -93,7 +97,8 @@ def test_root_count_matches_eigenvalues(gains):
         track = build_reference_track(spec, trace_time, ts)
         for point in _operating_points(track, gains):
             for n in (0, 1, 2, 3, 5, 8, 13, 17, 21, 36, 37, 38, 39, 73, 74, 90):
-                roots = np.abs(np.linalg.eigvals(_companion(point, n)))
+                roots = np.abs(np.linalg.eigvals(
+                    _companion(track, gains, point.step, n)))
                 for radius in (1.0, 1.0 - 1e-3):
                     assert point.roots_outside(n, radius) == \
                         int(np.sum(roots >= radius)), (spec, point.step, n, radius)
@@ -105,7 +110,8 @@ def test_spectral_radius_matches_eigenvalues(gains):
         track = build_reference_track(spec, trace_time, ts)
         for point in _operating_points(track, gains):
             for n in (0, 6, 37, 38, 73, 74):
-                ref = float(np.max(np.abs(np.linalg.eigvals(_companion(point, n)))))
+                ref = float(np.max(np.abs(np.linalg.eigvals(
+                    _companion(track, gains, point.step, n)))))
                 for limit in (1.0, 1.0 - 1e-3):
                     assert abs(point.spectral_radius(n, limit) - ref) < 1e-10, \
                         (spec, point.step, n, limit)
@@ -135,9 +141,8 @@ def test_outage_tolerance_radii_cover_scan_range(search_track, gains):
     assert [s.n for s in report.history] == [0, report.n_max, report.n_max + 1]
     assert [s.stable for s in report.history] == [True, True, False]
     assert max(s.worst_spectral_radius for s in report.history[:2]) < 1.0
-    assert report.first_violation_step is None
+    assert not report.capped
     assert report.margin == 0.0
-    assert report.ts == search_track.ts
 
 
 def test_outage_tolerance_decides_by_counts_alone(monkeypatch, search_track,
@@ -178,7 +183,7 @@ def test_outage_tolerance_decides_by_counts_alone(monkeypatch, search_track,
     for track, margin, expected in exact:
         counts.clear()
         outage_tolerance(track, gains, margin)
-        assert len(counts) == expected, (track.spec, track.trace_time, margin)
+        assert len(counts) == expected, (track.spec, track.n_steps, margin)
 
 
 # (track, trace time, ts, gains, margin): small tracks on which to check that
@@ -201,8 +206,7 @@ def test_search_boundary_is_monotone(spec, trace_time, ts, g, margin):
     report = outage_tolerance(build_reference_track(spec, trace_time, ts), g,
                               margin)
     assert not report.capped
-    first_unstable = (report.n_max + 1 if report.first_violation_step is None
-                      else 0)
+    first_unstable = report.n_max + 1 if report.history[0].stable else 0
     for n in range(2 * report.n_max + 3):
         stable = all(p.roots_outside(n, 1.0 - margin) == 0
                      for p in report.points)
@@ -254,7 +258,7 @@ def test_outage_tolerance_zero_when_margin_kills_slow_mode(search_track, gains):
     # 1 - 0.98974 classifies even n = 0 as failing
     report = outage_tolerance(search_track, gains, margin=2e-2)
     assert report.n_max == 0
-    assert report.first_violation_step is not None
+    assert not report.capped and not report.history[0].stable
 
 
 def test_outage_tolerance_cap_flag(gains):
@@ -265,7 +269,7 @@ def test_outage_tolerance_cap_flag(gains):
     report = outage_tolerance(track, gains)
     assert report.capped
     assert report.n_max == 0
-    assert report.first_violation_step is None
+    assert report.history[0].stable
 
 
 def test_outage_tolerance_scales_inversely_with_ts(gains):
