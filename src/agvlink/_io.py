@@ -1,9 +1,9 @@
 """Shared output plumbing for the CSV writers, and the one fork helper that
-splits the trajectory rows or the Monte-Carlo runs over the usable CPUs."""
+decides how many processes a job gets and splits the trajectory rows or the
+Monte-Carlo runs over them."""
 
 from __future__ import annotations
 
-import csv
 import os
 import shutil
 import signal
@@ -36,25 +36,15 @@ def _fmt(value) -> str:
 
 def write_table(path, header, rows, meta=()) -> None:
     """Write the `meta` lines as given, then the header row, then `rows`,
-    each value formatted by `_fmt`."""
+    each value formatted by `_fmt` and the values joined by commas.
+
+    Nothing is quoted: the package writes numbers, fixed names and flags,
+    none of which holds a comma, a quote or a line break.
+    """
     with csv_sink(path) as fh:
-        for line in meta:
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
-
-
-def share_count(most: int) -> int:
-    """Processes to split work among: at most one per usable CPU and at most
-    `most` (the shares the work is worth), and one where there is no fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:      # not offered on every platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, most))
+        fh.writelines(line + "\n" for line in meta)
+        fh.writelines(",".join(map(_fmt, row)) + "\n"
+                      for row in (header, *rows))
 
 
 def _fork_share(work, lo: int, hi: int):
@@ -83,20 +73,29 @@ def _fork_share(work, lo: int, hi: int):
     return pid, tmp
 
 
-def write_shares(fh, items: int, shares: int, work, what: str) -> None:
-    """Write the text of items 0..items-1 to `fh` in order, split over
-    `shares` processes.
+def write_shares(fh, items: int, worth: int, work, what: str) -> None:
+    """Write the text of items 0..items-1 to `fh` in order, split over as
+    many processes as the work is worth.
 
-    `work(file, lo, hi)` writes the text of items lo..hi-1. The items are cut
-    into `shares` contiguous shares. A forked child runs each share after the
-    first into a temporary file, while this process writes the first straight
-    to `fh`; the children's files are then appended in order, so the text
-    does not depend on the split. `work` must take no lock that another
-    thread could hold at the fork, and its text must not depend on which
-    process runs it. If this process fails, every child is killed; either
-    way every child is reaped, and a child that failed makes this call
-    raise RuntimeError, naming `what` it was doing.
+    `work(file, lo, hi)` writes the text of items lo..hi-1. The work is worth
+    `worth` shares, and it gets that many processes but at most one per
+    usable CPU and one per item, and one where there is no `os.fork`. The
+    items are cut into that many contiguous shares. A forked child runs each
+    share after the first into a temporary file, while this process writes
+    the first straight to `fh`; the children's files are then appended in
+    order, so the text does not depend on the split. `work` must take no
+    lock that another thread could hold at the fork, and its text must not
+    depend on which process runs it. If this process fails, every child is
+    killed; either way every child is reaped, and a child that failed makes
+    this call raise RuntimeError, naming `what` it was doing.
     """
+    shares = 1
+    if hasattr(os, "fork"):
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:      # not offered on every platform
+            cpus = os.cpu_count() or 1
+        shares = max(1, min(cpus, items, worth))
     bounds = [items * i // shares for i in range(shares + 1)]
     children = []       # (pid, temporary file) of shares 1, 2, ...
     try:

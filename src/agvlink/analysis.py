@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._io import _fmt, share_count, write_shares, write_table
+from ._io import _fmt, write_shares, write_table
 from ._version import __version__
 from .channel import (
     PRNG_ID,
@@ -219,8 +219,6 @@ def sweep_trace_time(cfg: ScenarioConfig,
 def longest_outage_run(outages: np.ndarray) -> int:
     """Length of the longest run of consecutive True entries."""
     flat = np.asarray(outages, dtype=bool).ravel()
-    if flat.size == 0:
-        return 0
     padded = np.concatenate(([False], flat, [False])).view(np.int8)
     edges = np.flatnonzero(np.diff(padded))
     if edges.size == 0:
@@ -271,12 +269,12 @@ def montecarlo_instability(cfg: ScenarioConfig, runs: int,
     the closed loop is driven by the same loss sequence to record the
     realized worst tracking error; otherwise that column is NaN.
 
-    The runs are split into contiguous shares, at most one per usable CPU
-    and each worth at least `_MIN_SHARE_SLOTS` sampled slots (a co-simulated
-    slot counts `_COSIM_SLOT_WEIGHT`): this process runs the first and a
-    forked child each other (`_io.write_shares`). A child samples, scans and
-    simulates in numpy and Python floats, and calls no BLAS. A run depends
-    only on its index, so the rows do not depend on the split.
+    The runs are worth one share per `_MIN_SHARE_SLOTS` sampled slots (a
+    co-simulated slot counts `_COSIM_SLOT_WEIGHT`), and `_io.write_shares`
+    caps the shares at one per usable CPU and one per run: this process
+    runs the first share and a forked child each other. A child samples,
+    scans and simulates in numpy and Python floats, and calls no BLAS. A run
+    depends only on its index, so the rows do not depend on the split.
     """
     if runs < 1:
         raise ParameterError("runs must be at least 1")
@@ -286,7 +284,7 @@ def montecarlo_instability(cfg: ScenarioConfig, runs: int,
         if cosimulate else None
     work = runs * slots * (_COSIM_SLOT_WEIGHT if cosimulate else 1)
     text = io.StringIO()
-    write_shares(text, runs, share_count(min(runs, work // _MIN_SHARE_SLOTS)),
+    write_shares(text, runs, work // _MIN_SHARE_SLOTS,
                  lambda out, lo, hi: _write_runs(out, cfg, point.model, slots,
                                                  track, lo, hi),
                  "running Monte-Carlo runs")

@@ -91,7 +91,7 @@ from .control import (
     simulate_closed_loop,
     write_trajectory_csv,
 )
-from .exceptions import NumericConsistencyError, ParameterError
+from .exceptions import ParameterError
 from .stability import outage_tolerance, write_stability_csv
 
 
@@ -481,7 +481,7 @@ def main(argv=None) -> int:
         print(f"error: cannot write --out {args.out}: {exc.strerror}",
               file=sys.stderr)
         return 2
-    except (NumericConsistencyError, ArithmeticError, LookupError) as exc:
+    except (ArithmeticError, LookupError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
 

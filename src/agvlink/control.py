@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import csv_sink, share_count, write_shares
+from ._io import csv_sink, write_shares
 from .exceptions import ParameterError
 
 TWO_PI = 2.0 * math.pi
@@ -131,41 +131,40 @@ def build_reference_track(spec: TrackSpec, trace_time: float, ts: float) -> Refe
     n_steps = math.ceil(steps)
     a, b = spec.semi_axis_a, spec.axis_b
 
-    phi_dot = TWO_PI / (n_steps * ts)
+    # a numpy float, so that a cube too large for a float is inf
+    phi_dot = np.float64(TWO_PI / (n_steps * ts))
     # an array beyond numpy's largest size (ValueError) or beyond the memory
-    # left (MemoryError) makes the lap too long to sample
+    # left (MemoryError) makes the lap too long to sample; a speed or turn
+    # rate that is not finite is refused below, so it raises no warning here
     try:
-        phi = math.pi + TWO_PI * np.arange(n_steps + 1) / n_steps
-        # one cosine and one sine of phi, each freed before the next is taken
-        cos_phi = np.cos(phi)
-        xs = a * cos_phi
-        y_dot = b * cos_phi * phi_dot
-        del cos_phi
-        sin_phi = np.sin(phi)
-        del phi
-        ys = b * sin_phi
-        x_dot = -a * sin_phi * phi_dot
-        del sin_phi
-        # curvature rate omega = (x' y'' - y' x'') / nu^2 with the second
-        # derivatives of the constant-rate parametrization; what is not
-        # finite is refused below
         with np.errstate(all="ignore"):
+            phi = math.pi + TWO_PI * np.arange(n_steps + 1) / n_steps
+            # one cosine and one sine of phi, each freed before the next
+            cos_phi = np.cos(phi)
+            xs = a * cos_phi
+            y_dot = b * cos_phi * phi_dot
+            del cos_phi
+            sin_phi = np.sin(phi)
+            del phi
+            ys = b * sin_phi
+            x_dot = -a * sin_phi * phi_dot
+            del sin_phi
+            # curvature rate omega = (x' y'' - y' x'') / nu^2 with the second
+            # derivatives of the constant-rate parametrization
             nus = np.hypot(x_dot, y_dot)
             omegas = (a * b * phi_dot**3) / (nus * nus)
-        thetas = np.unwrap(np.arctan2(y_dot, x_dot))
+            thetas = np.unwrap(np.arctan2(y_dot, x_dot))
     except (MemoryError, ValueError):
         raise ParameterError(f"trace_time / ts = {trace_time!r} / {ts!r} "
                              f"needs {n_steps} steps, too many to "
                              "sample") from None
-    except OverflowError:   # phi_dot**3 on a lap of few, very short steps
-        raise ParameterError(f"trace_time / ts = {trace_time!r} / {ts!r} "
-                             "gives a turn rate too large to "
-                             "represent") from None
     # a semi-axis so small that nu * nu underflows gives 0 / 0 turn rates,
-    # and one so large that it overflows gives inf / inf
+    # one so large that it overflows gives inf / inf, and a lap of few, very
+    # short steps gives a turn rate too large for a float
     if not (np.isfinite(nus).all() and np.isfinite(omegas).all()):
-        raise ParameterError(f"track semi-axes {a!r} and {b!r} m give a "
-                             "speed or turn rate that is not finite")
+        raise ParameterError(f"track semi-axes {a!r} and {b!r} m at "
+                             f"trace_time / ts = {trace_time!r} / {ts!r} "
+                             "give a speed or turn rate that is not finite")
 
     return ReferenceTrack(xs=xs, ys=ys, thetas=thetas, nus=nus, omegas=omegas,
                           ts=float(ts), spec=spec)
@@ -226,6 +225,17 @@ class Trajectory:
         return np.hypot(self.x_e, self.y_e)
 
 
+def _reference(track: ReferenceTrack, lo: int, hi: int):
+    """(x_r, y_r, theta_r, nu_r, omega_r) of steps lo..hi-1: the closed track
+    read lap after lap, the heading continued by one turn per lap."""
+    k = np.arange(lo, hi)
+    r = k % track.n_steps
+    # numpy rounds each elementwise product and sum as Python floats do
+    return (track.xs[r], track.ys[r],
+            track.thetas[r] + k // track.n_steps * track.heading_per_lap(),
+            track.nus[r], track.omegas[r])
+
+
 # Steps per block of the simulator: enough to amortise the numpy calls that
 # read the track and store the outputs, few enough that the block's Python
 # floats (eight lists of them) stay well under 1 MB however long the run is.
@@ -244,9 +254,9 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
 
     Each step is `tracking_error`, `control_law` and `plant_step` on Python
     floats; the loop adds only the hold register. It runs `_SIM_BLOCK` steps
-    at a time: a block reads its stretch of the track (the heading continued
-    by whole laps) as Python floats, keeps the per-step values in lists and
-    stores them into the output arrays once at the block's end.
+    at a time: a block reads its stretch of the track from `_reference` as
+    Python floats, keeps the per-step values in lists and stores them into
+    the output arrays once at the block's end.
     """
     out_flag = np.array(outage_schedule, dtype=bool)   # a copy: step 0 is cleared
     steps = len(out_flag)
@@ -254,24 +264,17 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
         raise ParameterError("outage schedule must contain at least one step")
     out_flag[0] = False   # the first command seeds the hold register
 
-    n_steps = track.n_steps
     ts = track.ts
-    lap_turn = track.heading_per_lap()
     outputs = [np.empty(steps) for _ in range(8)]
     x, y, th = track.xs[0].item(), track.ys[0].item(), track.thetas[0].item()
 
     for lo in range(0, steps, _SIM_BLOCK):
         hi = min(lo + _SIM_BLOCK, steps)
-        k = np.arange(lo, hi)
-        r = k % n_steps
-        # numpy rounds each elementwise product and sum as Python floats do
-        theta_r = track.thetas[r] + k // n_steps * lap_turn
         values = [[] for _ in range(8)]
         (put_xc, put_yc, put_thc, put_xe, put_ye, put_the,
          put_nu, put_om) = [v.append for v in values]
         for x_r, y_r, th_r, nu_r, om_r, lost in zip(
-                track.xs[r].tolist(), track.ys[r].tolist(), theta_r.tolist(),
-                track.nus[r].tolist(), track.omegas[r].tolist(),
+                *(v.tolist() for v in _reference(track, lo, hi)),
                 out_flag[lo:hi].tolist()):
             xe, ye, the = tracking_error(x_r, y_r, th_r, x, y, th)
             if not lost:
@@ -298,17 +301,9 @@ TRAJECTORY_COLUMNS = ["k", "t", "x_r", "y_r", "theta_r", "x_c", "y_c", "theta_c"
                       "outage_flag"]
 
 
-def _share_count(rows: int) -> int:
-    """Processes that format `rows` rows: at most one per usable CPU, each
-    with at least _MIN_SHARE_ROWS of them."""
-    return share_count(rows // _MIN_SHARE_ROWS)
-
-
 def _write_rows(fh, traj: Trajectory, track: ReferenceTrack,
                 lo: int, hi: int) -> None:
     """Write rows lo..hi-1 of the run to `fh`, _CSV_BLOCK_ROWS at a time."""
-    n_steps = track.n_steps
-    lap_turn = track.heading_per_lap()
     states = [np.asarray(c, dtype=np.float64) for c in (
         traj.x_c, traj.y_c, traj.theta_c, traj.x_e, traj.y_e, traj.theta_e,
         traj.nu_applied, traj.omega_applied)]
@@ -316,9 +311,7 @@ def _write_rows(fh, traj: Trajectory, track: ReferenceTrack,
     for start in range(lo, hi, _CSV_BLOCK_ROWS):
         stop = min(start + _CSV_BLOCK_ROWS, hi)
         k = np.arange(start, stop)
-        r = k % n_steps
-        floats = [k * traj.ts, track.xs[r], track.ys[r],
-                  track.thetas[r] + k // n_steps * lap_turn,
+        floats = [k * traj.ts, *_reference(track, start, stop)[:3],
                   *(c[start:stop] for c in states)]
         columns = [map(str, k.tolist()),
                    *(map(repr, f.tolist()) for f in floats),
@@ -329,17 +322,18 @@ def _write_rows(fh, traj: Trajectory, track: ReferenceTrack,
 def write_trajectory_csv(traj: Trajectory, track: ReferenceTrack, path) -> None:
     """Write a run to CSV (one row per step, header mandatory, SI units).
 
+    The reference columns come from `_reference`, as the simulator's do.
     Each float is written as its shortest round-trip `repr` and each outage
     flag as 0 or 1. Rows are formatted in blocks of `_CSV_BLOCK_ROWS`, so
-    memory does not grow with the length of the run. A long run is split
-    into contiguous shares, one per usable CPU, by `_io.write_shares`: this
-    process writes the first, and a forked child formats each other share,
-    which is appended in order, so the bytes do not depend on the split. A
-    child only formats rows: it calls no BLAS. A child that fails makes this
-    call raise.
+    memory does not grow with the length of the run. A run is worth one
+    share per `_MIN_SHARE_ROWS` rows, and `_io.write_shares` caps the shares
+    at one per usable CPU: this process writes the first, and a forked child
+    formats each other share, which is appended in order, so the bytes do
+    not depend on the split. A child only formats rows: it calls no BLAS. A
+    child that fails makes this call raise.
     """
     with csv_sink(path) as fh:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-        write_shares(fh, len(traj), _share_count(len(traj)),
+        write_shares(fh, len(traj), len(traj) // _MIN_SHARE_ROWS,
                      lambda out, lo, hi: _write_rows(out, traj, track, lo, hi),
                      "writing trajectory rows")

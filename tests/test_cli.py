@@ -258,12 +258,17 @@ def test_main_bad_flag_values_exit_2(capsys):
     # rate overflows 2**R, are refused rather than failing in the arithmetic
     assert main(["nmax", "--ts-ms", "1e-320"]) == 2
     assert "not a finite step count" in capsys.readouterr().err
-    # a one-step lap so short that its turn rate's cube overflows
-    assert main(["simulate", "--ts-ms", "1e-297",
-                 "--trace-time-s", "1e-300"]) == 2
-    assert capsys.readouterr().err == ("error: trace_time / ts = 1e-300 / "
-                                       "1e-300 gives a turn rate too large "
-                                       "to represent\n")
+    # one-step laps so short that the turn rate overflows: its cube alone,
+    # or its cube times the semi-axes
+    for trace_time, ts_ms, ts in (("1e-300", "1e-297", "1e-300"),
+                                  ("1e-101", "1e-98", "9.999999999999999e-102")):
+        for command in ("nmax", "channel", "simulate"):
+            assert main([command, "--ts-ms", ts_ms,
+                         "--trace-time-s", trace_time]) == 2
+            assert capsys.readouterr().err == (
+                f"error: track semi-axes 350.0 and 350.0 m at trace_time / ts "
+                f"= {trace_time} / {ts} give a speed or turn rate that is not "
+                "finite\n"), command
     assert main(["channel", "--ts-ms", "1e-6", "--velocity-mps", "1"]) == 2
     assert "not finite" in capsys.readouterr().err
     # laps too long to sample are refused before numpy allocates anything

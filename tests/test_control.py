@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -227,10 +228,18 @@ def test_track_invalid_parameters():
     for trace_time in (1e20, 1e12):
         with pytest.raises(ParameterError, match=r"trace_time / ts .* too many"):
             build_reference_track(TrackSpec(), trace_time, 1e-3)
-    # one step of 1e-300 s: the turn rate's cube overflows a float
-    with pytest.raises(ParameterError, match=re.escape(
-            "trace_time / ts = 1e-300 / 1e-300 gives a turn rate")):
-        build_reference_track(TrackSpec(), 1e-300, 1e-300)
+    # one-step laps refused with no warning before: 1e-300 s, whose turn
+    # rate's cube overflows a float, 1e-101 s, whose cube times the
+    # semi-axes does, and 1e-200 s on 1e150 m, whose speed does
+    for axis, lap in ((350.0, "1e-300"), (350.0, "1e-101"), (1e150, "1e-200")):
+        with warnings.catch_warnings(), pytest.raises(
+                ParameterError, match=re.escape(
+                    f"track semi-axes {axis!r} and {axis!r} m at trace_time "
+                    f"/ ts = {lap} / {lap} give a speed or turn rate that is "
+                    "not finite")):
+            warnings.simplefilter("error")
+            build_reference_track(TrackSpec(semi_axis_a=axis), float(lap),
+                                  float(lap))
     with pytest.raises(ParameterError):
         TrackSpec(semi_axis_a=-1.0)
     with pytest.raises(ParameterError, match="semi_axis_b is for an ellipse"):
@@ -453,7 +462,6 @@ def split_run(tiny_track, gains, forks):
     """A lossy 6.25-lap run that three processes write, and a list that
     records each fork. 25 001 rows is a multiple of neither 1024 nor 3."""
     traj = simulate_closed_loop(tiny_track, gains, lossy(25_001))
-    assert control._share_count(len(traj)) == 3
     return traj, forks
 
 
