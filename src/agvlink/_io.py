@@ -9,20 +9,14 @@ import shutil
 import signal
 import tempfile
 import traceback
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 
-@contextmanager
 def csv_sink(path):
-    """Yield a writable text handle; `path` may be a path or open file."""
-    if hasattr(path, "write"):
-        yield path
-        return
-    fh = open(path, "w", newline="")
-    try:
-        yield fh
-    finally:
-        fh.close()
+    """A context manager giving a writable text handle; `path` may be a path,
+    which it opens and closes, or an open file, which it leaves open."""
+    return (nullcontext(path) if hasattr(path, "write")
+            else open(path, "w", newline=""))
 
 
 def _fmt(value) -> str:

@@ -39,7 +39,15 @@ from .channel import (
 )
 from .control import Gains, TrackSpec, build_reference_track, simulate_closed_loop
 from .exceptions import NumericConsistencyError, ParameterError
-from .stability import StabilityReport, outage_tolerance
+from .stability import outage_tolerance
+
+__all__ = [
+    "ScenarioConfig", "PointResult", "SweepRow", "SweepResult",
+    "MonteCarloRow", "MonteCarloResult", "instability_probability",
+    "sweep_sampling_time", "sweep_trace_time", "montecarlo_instability",
+    "longest_outage_run", "wilson_interval", "write_sweep_csv",
+    "write_montecarlo_csv", "DEFAULT_TS_GRID", "DEFAULT_TRACE_GRID",
+]
 
 DEFAULT_TS_GRID = tuple((10 + 5 * i) * 1e-4 for i in range(19))   # 1..10 ms step 0.5
 DEFAULT_TRACE_GRID = (20.0, 100.0, 333.0, 500.0, 1000.0)
@@ -90,7 +98,6 @@ class PointResult:
     log10_p_us: float
     nu_max: float
     model: OutageModel
-    report: StabilityReport
     flags: tuple[str, ...] = ()
 
 
@@ -164,8 +171,7 @@ def instability_probability(cfg: ScenarioConfig) -> PointResult:
     p_us = consecutive_outage_prob(n, model.p1, model.p_bb)
     log10_p_us = consecutive_outage_log10(n, model.p1, model.p_bb)
     return PointResult(n_max=report.n_max, p_us=p_us, log10_p_us=log10_p_us,
-                       nu_max=nu_max, model=model, report=report,
-                       flags=tuple(flags))
+                       nu_max=nu_max, model=model, flags=tuple(flags))
 
 
 def _checked_grid(grid, name: str) -> tuple[float, ...]:
@@ -324,14 +330,12 @@ def _flatten_config(value: dict, prefix: str = "") -> list[tuple[str, str]]:
     return out
 
 
-def metadata_lines(cfg: ScenarioConfig, extra: dict | None = None) -> list[str]:
-    """'#'-prefixed header block: config, conventions, PRNG, version.
+def _metadata_lines(cfg: ScenarioConfig, extra: dict | None = None) -> list[str]:
+    """'#'-prefixed header block: version, PRNG, each config field, `extra`.
 
     Deliberately timestamp-free so identical inputs give identical bytes.
     """
-    lines = [f"# version = {__version__}",
-             f"# prng = {PRNG_ID}",
-             f"# phi_convention = {cfg.phi_convention}"]
+    lines = [f"# version = {__version__}", f"# prng = {PRNG_ID}"]
     lines += [f"# config.{key} = {val}"
               for key, val in _flatten_config(asdict(cfg))]
     if extra:
@@ -345,7 +349,7 @@ def _rows(rows, columns: list[str]):
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     write_table(path, SWEEP_COLUMNS, _rows(result.rows, SWEEP_COLUMNS),
-                metadata_lines(result.config, {"sweep_axis": result.axis}))
+                _metadata_lines(result.config, {"sweep_axis": result.axis}))
 
 
 def write_montecarlo_csv(result: MonteCarloResult, path) -> None:
@@ -358,4 +362,4 @@ def write_montecarlo_csv(result: MonteCarloResult, path) -> None:
              "ci95_high": _fmt(result.ci_high)}
     write_table(path, MONTECARLO_COLUMNS,
                 _rows(result.rows, MONTECARLO_COLUMNS),
-                metadata_lines(result.config, extra))
+                _metadata_lines(result.config, extra))

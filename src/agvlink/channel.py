@@ -29,6 +29,15 @@ from scipy.special import chndtr, j0
 
 from .exceptions import NumericConsistencyError, ParameterError
 
+__all__ = [
+    "LinkParams", "OutageModel", "spectral_efficiency", "snr_threshold",
+    "outage_probability", "doppler_shift", "fading_correlation",
+    "phi_variable", "back_to_back_prob",
+    "consecutive_outage_prob", "consecutive_outage_log10",
+    "build_outage_model", "sample_fading_gains", "sample_outage_sequence",
+    "SPEED_OF_LIGHT", "DEFAULT_CARRIER_FREQ", "PRNG_ID",
+]
+
 SPEED_OF_LIGHT = 299_792_458.0
 DEFAULT_CARRIER_FREQ = 5.9e9
 RHO_LIMIT = 1.0 - 1e-9

@@ -49,8 +49,9 @@ both, and the flag's value replaces the file's. The subcommand-only options
 (--velocity-mps, --n-list, --steps, --burst-start, --burst-len, --runs) go
 through the same family of parsers, so every option is checked once and a
 bad value is reported with its flag's name. Exit codes: 0 success (including
-sweeps with flagged failure rows, each also reported on standard error), 2
-for configuration or usage errors, 3 for internal consistency violations.
+sweeps with flagged failure rows, each also reported on standard error), 1
+when the reader of standard output goes away before the output is written,
+2 for configuration or usage errors, 3 for internal consistency violations.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -470,7 +472,15 @@ def main(argv=None) -> int:
         return 2
     handler, _, own = _COMMANDS[args.command]
     try:
-        return handler(_parse(args, {**_SHARED, **own}), args)
+        code = handler(_parse(args, {**_SHARED, **own}), args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of standard output is gone. Point it at devnull so that
+        # the flush at exit cannot fail again, and exit 1 without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ParameterError as exc:          # includes ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,12 @@ import numpy as np
 from ._io import csv_sink, write_shares
 from .exceptions import ParameterError
 
+__all__ = [
+    "Gains", "TrackSpec", "ReferenceTrack", "Trajectory",
+    "build_reference_track", "tracking_error", "control_law", "plant_step",
+    "simulate_closed_loop", "wrap_angle", "write_trajectory_csv",
+]
+
 TWO_PI = 2.0 * math.pi
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ParameterError", "NumericConsistencyError"]
+
 
 class ParameterError(ValueError):
     """A physical or configuration parameter is outside its valid range."""

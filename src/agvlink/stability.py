@@ -66,6 +66,11 @@ from ._io import write_table
 from .control import Gains, ReferenceTrack
 from .exceptions import ParameterError
 
+__all__ = [
+    "CandidateScan", "StabilityReport", "evaluate_candidate",
+    "outage_tolerance", "write_stability_csv",
+]
+
 FROZEN_POINTS = 5
 _REFINE_LEVELS = 16
 

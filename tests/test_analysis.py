@@ -119,7 +119,6 @@ def test_instability_probability_capped_flag():
                          trace_time=1e-3, ts=1e-3)
     pt = instability_probability(cfg)
     assert "nmax_capped" in pt.flags
-    assert pt.report.capped
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -352,11 +351,13 @@ def test_write_sweep_csv_schema(tmp_path, short_cfg):
     assert len(fields) == len(SWEEP_COLUMNS)
     assert int(fields[SWEEP_COLUMNS.index("n_max")]) == res.rows[0].n_max
     assert float(fields[0]) == 1e-3
-    # metadata block carries config, conventions, and generator identity
+    # metadata block carries config, conventions, and generator identity,
+    # each fact once
     joined = "\n".join(meta)
     assert "# version = " in joined
     assert "# prng = pcg64-polar" in joined
-    assert "# phi_convention = zorzi_sqrt" in joined
+    assert "# config.phi_convention = zorzi_sqrt" in joined
+    assert sum("phi_convention" in m for m in meta) == 1
     assert "# config.link.num_agvs = 50" in joined
     assert "# config.ts = 0.001" in joined
     assert "# sweep_axis = trace_time_s" in joined

@@ -1,11 +1,14 @@
 """CLI tests: config ingestion, flag precedence, subcommands, exit codes.
 
 Everything runs through `main(argv)` in-process so exit codes and the exact
-stdout/stderr bytes are observable. One test runs a subprocess, so that the
-memory limit it lowers is not the test process's own.
+stdout/stderr bytes are observable. Two tests run a subprocess: one so that
+the memory limit it lowers is not the test process's own, one so that its
+standard output can be a pipe nobody reads.
 """
 
 import argparse
+import ast
+import inspect
 import os
 import re
 import subprocess
@@ -27,7 +30,7 @@ from agvlink import (
     build_reference_track,
     outage_tolerance,
 )
-from agvlink import analysis, cli
+from agvlink import analysis, channel, cli, control, exceptions, stability
 from agvlink.cli import CliConfig, ConfigError, load_config, main
 
 from conftest import needs_fork
@@ -196,9 +199,22 @@ def test_main_version(capsys):
 
 
 def test_package_all_names_unique_and_resolvable():
+    modules = (control, stability, channel, analysis, exceptions)
+    assert agvlink.__all__ == ["__version__",
+                               *(name for m in modules for name in m.__all__)]
     assert len(set(agvlink.__all__)) == len(agvlink.__all__)
-    for name in agvlink.__all__:
-        assert hasattr(agvlink, name), name
+    for module in modules:
+        # every public def and class is listed where it is defined
+        tree = ast.parse(inspect.getsource(module))
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_")}
+        assert defined <= set(module.__all__), (module.__name__, defined)
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert getattr(agvlink, name) is obj, name
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, name
 
 
 def test_main_config_error_is_exit_2(tmp_path, capsys):
@@ -300,6 +316,13 @@ def test_main_bad_flag_values_exit_2(capsys):
         assert f"error: {want}" in capsys.readouterr().err, args
 
 
+def _package_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(agvlink.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads /proc/self/statm and relies on RLIMIT_AS")
 def test_simulate_trajectory_beyond_memory_exits_2():
@@ -315,13 +338,27 @@ def test_simulate_trajectory_beyond_memory_exits_2():
         sys.exit(main(["simulate", "--trace-time-s", "2",
                        "--steps", "50000000"]))
     """)
-    src = str(Path(agvlink.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, text=True,
-                          capture_output=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                          text=True, capture_output=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: --steps must fit in memory, got 50000000\n"
+
+
+@pytest.mark.parametrize("args", [["nmax"], ["sweep-trace"], ["channel"],
+                                  ["simulate", "--trace-time-s", "20"]],
+                         ids=lambda args: args[0])
+def test_closed_stdout_exits_1_quietly(args):
+    # the read end is closed before the start, so every write to standard
+    # output fails with EPIPE; the 20 s lap's rows are split over processes
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "agvlink", *args],
+                              stdout=writer, stderr=subprocess.PIPE,
+                              env=_package_env(), timeout=120)
+    finally:
+        os.close(writer)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_snr_db_flag_too_large_exits_2(capsys):
