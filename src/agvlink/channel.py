@@ -16,7 +16,11 @@ P_e(n) = p1 * p_bb^(n-1).
 Both special functions come from scipy.special: J0 is `j0`, and Q1 is taken
 from the noncentral chi-square distribution with two degrees of freedom,
 Q1(a, b) = 1 - chndtr(b^2, 2, a^2). Their numpy scalars are converted to
-Python floats, whose repr the CSV writers print as plain numbers.
+Python floats, whose repr the CSV writers print as plain numbers. Each is
+imported by the one function that calls it: importing scipy.special takes
+~0.27 s (scipy's array-API shim), which only commands that evaluate the
+channel need. `build_outage_model` runs before any share is forked, so the
+children inherit the module.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chndtr, j0
 
 from .exceptions import NumericConsistencyError, ParameterError
 
@@ -124,6 +127,7 @@ def fading_correlation(f_d: float, ts: float) -> float:
     if not (0.0 <= f_d < math.inf and 0.0 < ts < math.inf):
         raise ParameterError(
             "f_d must be finite and nonnegative, ts finite and positive")
+    from scipy.special import j0
     rho = float(j0(2.0 * math.pi * f_d * ts))
     return min(max(rho, -RHO_LIMIT), RHO_LIMIT)
 
@@ -154,6 +158,7 @@ def back_to_back_prob(gamma_th: float, rho: float,
     Evaluated with |rho|: the envelope statistics depend on the squared
     correlation, and J0 swings negative at fast Doppler.
     """
+    from scipy.special import chndtr
     ar = abs(rho)
     phi = phi_variable(gamma_th, ar, convention)
     # Q1(a, b) = 1 - chndtr(b^2, 2, a^2), so the numerator

@@ -3,11 +3,13 @@
 import math
 import os
 from collections import deque
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import agvlink
 from agvlink import (
     Gains,
     TrackSpec,
@@ -20,6 +22,13 @@ from agvlink import (
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="the platform cannot fork")
+
+
+def package_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(agvlink.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ fixed seeds.
 
 import hashlib
 import math
-import os
 import subprocess
 import sys
 
@@ -40,7 +39,7 @@ from agvlink import (
 )
 from agvlink.channel import PHI_CONVENTIONS, PRNG_ID, RHO_LIMIT
 
-from conftest import close, one_minus_pbb_mp, rel_close
+from conftest import close, needs_fork, one_minus_pbb_mp, package_env, rel_close
 
 
 def marcum_oracle(a: float, b: float) -> float:
@@ -312,30 +311,74 @@ def test_outage_model_fields_are_python_floats():
             assert type(getattr(model, name)) is float, (velocity, name)
 
 
+def _run_probe(probe: str) -> list[str]:
+    """Standard output lines of `probe` run in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", probe], env=package_env(),
+                          check=True, capture_output=True,
+                          text=True).stdout.splitlines()
+
+
 def test_import_leaves_signal_and_stats_unloaded():
-    # both are slow to import and no command needs them: scipy.special is
-    # the only scipy subpackage the package uses
-    import agvlink
-    src = os.path.dirname(os.path.dirname(os.path.abspath(agvlink.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = (
-        "import os, sys, agvlink\n"
-        "from agvlink.cli import main\n"
+    # scipy.special is the only scipy subpackage the package uses, and it
+    # loads on the first channel computation: importing the package, loading
+    # a config, `nmax` and `simulate` without sampling load no scipy at all.
+    # scipy.signal and scipy.stats are slow to import and never load.
+    lines = _run_probe(
+        "import contextlib, io, os, sys, agvlink\n"
+        "from agvlink.cli import load_config, main\n"
         "def loaded():\n"
-        "    return sorted(m for m in ('scipy.signal', 'scipy.stats')\n"
-        "                  if m in sys.modules)\n"
-        "print(loaded())\n"
-        "for argv in (['simulate', '--trace-time-s', '2', '--steps', '400',\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+        "load_config(None)\n"
+        "stages = [loaded()]\n"
+        "for argv in (['nmax', '--trace-time-s', '2'],\n"
+        "             ['simulate', '--trace-time-s', '2', '--steps', '400',\n"
+        "              '--out', os.devnull],\n"
+        "             ['channel', '--out', os.devnull],\n"
+        "             ['simulate', '--trace-time-s', '2', '--steps', '400',\n"
         "              '--sample-outages', '--out', os.devnull],\n"
         "             ['montecarlo', '--trace-time-s', '2', '--runs', '2',\n"
         "              '--cosimulate', '--out', os.devnull]):\n"
-        "    assert main(argv) == 0, argv\n"
-        "print(loaded())\n")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    lines = out.splitlines()   # before the commands, then after them
-    assert lines[0] == lines[-1] == "[]"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    stages.append(loaded())\n"
+        "for stage in stages:\n"
+        "    print(' '.join(stage))\n")
+    # after the imports and config, nmax, simulate, channel, sampled
+    # simulate and montecarlo
+    assert lines[:3] == ["", "", ""]
+    assert all("scipy.special" in line.split() for line in lines[3:])
+    assert not any(m in line.split() for line in lines
+                   for m in ("scipy.signal", "scipy.stats"))
+
+
+@needs_fork
+def test_scipy_special_loads_before_any_fork():
+    # a module first imported in a forked child is imported again by every
+    # child; the outage model is built before the Monte-Carlo runs and the
+    # trajectory rows are forked, so the children inherit scipy.special.
+    # Callers bind write_shares by name; _fork_share is the one fork point.
+    lines = _run_probe(
+        "import contextlib, io, os, sys\n"
+        "from agvlink import _io, analysis\n"
+        "from agvlink.cli import main\n"
+        "analysis._MIN_SHARE_SLOTS = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fork_share, seen = _io._fork_share, []\n"
+        "def recording_fork_share(*args):\n"
+        "    seen.append('scipy.special' in sys.modules)\n"
+        "    return fork_share(*args)\n"
+        "_io._fork_share = recording_fork_share\n"
+        "for argv in (['montecarlo', '--trace-time-s', '2', '--runs', '2',\n"
+        "              '--cosimulate', '--out', os.devnull],\n"
+        "             ['simulate', '--sample-outages', '--trace-time-s', '20',\n"
+        "              '--out', os.devnull]):\n"
+        "    del seen[:]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    print(argv[0], seen)\n")
+    # two processes: one forked child per command
+    assert lines == ["montecarlo [True]", "simulate [True]"]
 
 
 def test_link_params_validation():

@@ -15,7 +15,6 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -33,7 +32,7 @@ from agvlink import (
 from agvlink import analysis, channel, cli, control, exceptions, stability
 from agvlink.cli import CliConfig, ConfigError, load_config, main
 
-from conftest import needs_fork
+from conftest import needs_fork, package_env
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -316,13 +315,6 @@ def test_main_bad_flag_values_exit_2(capsys):
         assert f"error: {want}" in capsys.readouterr().err, args
 
 
-def _package_env() -> dict:
-    """The environment with this package's source first on PYTHONPATH."""
-    src = str(Path(agvlink.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads /proc/self/statm and relies on RLIMIT_AS")
 def test_simulate_trajectory_beyond_memory_exits_2():
@@ -338,7 +330,7 @@ def test_simulate_trajectory_beyond_memory_exits_2():
         sys.exit(main(["simulate", "--trace-time-s", "2",
                        "--steps", "50000000"]))
     """)
-    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
                           text=True, capture_output=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: --steps must fit in memory, got 50000000\n"
@@ -355,7 +347,7 @@ def test_closed_stdout_exits_1_quietly(args):
     try:
         proc = subprocess.run([sys.executable, "-m", "agvlink", *args],
                               stdout=writer, stderr=subprocess.PIPE,
-                              env=_package_env(), timeout=120)
+                              env=package_env(), timeout=120)
     finally:
         os.close(writer)
     assert (proc.returncode, proc.stderr) == (1, b"")
