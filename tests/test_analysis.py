@@ -355,7 +355,7 @@ def test_write_sweep_csv_schema(tmp_path, short_cfg):
     # each fact once
     joined = "\n".join(meta)
     assert "# version = " in joined
-    assert "# prng = pcg64-polar" in joined
+    assert "# prng = pcg64-ziggurat" in joined
     assert "# config.phi_convention = zorzi_sqrt" in joined
     assert sum("phi_convention" in m for m in meta) == 1
     assert "# config.link.num_agvs = 50" in joined

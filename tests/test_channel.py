@@ -188,6 +188,28 @@ def test_back_to_back_rejects_nan():
         back_to_back_prob(math.inf, 0.5)
 
 
+def test_back_to_back_is_one_at_heavy_load():
+    # from gamma_th = 38 the Marcum numerator (at most 1) over e^38 - 1 rounds
+    # away; past 709.8 expm1 overflows and at the rho clamp chndtr gives NaN
+    # from about 46, so the answer must come without them
+    for rho in (0.0, 0.5, RHO_LIMIT):
+        for gamma in (38.0, 46.0, 706.0, 710.0, 2.5e8):
+            assert back_to_back_prob(gamma, rho) == 1.0, (gamma, rho)
+
+
+def test_back_to_back_below_38_is_the_formula():
+    # below the cut-off the Marcum terms still decide, bit for bit
+    for rho in (0.0, 0.5, -0.9, RHO_LIMIT):
+        for gamma in (0.05, 0.7693878389952673, 10.0, 30.0, 37.13,
+                      math.nextafter(38.0, 0.0)):
+            ar = abs(rho)
+            phi = phi_variable(gamma, ar)
+            hi, lo = phi * phi, (ar * phi) ** 2
+            p_bb = 1.0 - float(sp.chndtr(hi, 2, lo)
+                               - sp.chndtr(lo, 2, hi)) / math.expm1(gamma)
+            assert back_to_back_prob(gamma, rho) == min(max(p_bb, 0.0), 1.0)
+
+
 def test_back_to_back_matches_mpmath_at_rho_limit():
     # the clamp at zero Doppler gives phi ~ 3e4: Q1's large-argument regime
     link = LinkParams()
@@ -408,11 +430,11 @@ def test_sample_fading_gains_follow_ar1_recursion_bit_for_bit():
     # include both sides of the sampler's block edges
     from scipy.signal import lfilter
 
-    from agvlink.channel import _AR1_BLOCK, _generator, _polar_normals
+    from agvlink.channel import _AR1_BLOCK, _generator
     for rho in (0.0, 0.3, -0.4, 0.9997, 0.999999, RHO_LIMIT):
         for length in (1, 2, 7, _AR1_BLOCK, _AR1_BLOCK + 1,
                        2 * _AR1_BLOCK + 1, 100_000):
-            z = _polar_normals(_generator(3, 1), 2 * length)
+            z = _generator(3, 1).standard_normal(2 * length)
             w = (z[0::2] + 1j * z[1::2]) * math.sqrt(0.5)
             h = w[0].item()
             ref = [h]
@@ -429,33 +451,28 @@ def test_sample_fading_gains_follow_ar1_recursion_bit_for_bit():
             assert got.tobytes() == filtered.tobytes(), (rho, length)
 
 
-def test_polar_normals_prefix_does_not_depend_on_count():
-    # every pair of a chunk is drawn, whatever the count, so the first n
-    # normals are the same for any longer request; counts on both sides of
-    # the first chunk's accepted normals cover the second chunk
-    from agvlink.channel import _generator, _polar_normals
-    gen = _generator(9, 4)
-    u, v = (2.0 * gen.random(1 << 16) - 1.0 for _ in range(2))
-    s = u * u + v * v
-    first_chunk = 2 * int(np.count_nonzero((s > 0.0) & (s < 1.0)))
-    longest = _polar_normals(_generator(9, 4), 3 * (1 << 16))
-    for n in (1, 2, 3, 39_999, 40_000, first_chunk - 1, first_chunk,
-              first_chunk + 1, 131_071):
-        got = _polar_normals(_generator(9, 4), n)
+def test_sample_fading_gains_prefix_does_not_depend_on_length():
+    # the normals are drawn in order whatever the length, so a run is a byte
+    # prefix of every longer run with the same seed and stream; the lengths
+    # cover both sides of the recursion's block edge
+    from agvlink.channel import _AR1_BLOCK
+    longest = sample_fading_gains(0.9, 3 * (1 << 16), seed=9, stream=4)
+    for n in (1, 2, 3, _AR1_BLOCK, _AR1_BLOCK + 1, 65_536, 131_071):
+        got = sample_fading_gains(0.9, n, seed=9, stream=4)
         assert got.tobytes() == longest[:n].tobytes(), n
 
 
 def test_sample_outage_sequence_stream_is_pinned():
     # PRNG_ID names the stream: these bytes may change only with it
-    assert PRNG_ID == "pcg64-polar"
+    assert PRNG_ID == "pcg64-ziggurat"
     gamma = 0.7693878389952673
     for (length, seed, stream), digest in (
-            ((1000, 1, 0), "4b4bb8021063ef95682b866cc7c478ea"
-                           "0889a67a32071d327063394a40ad16f4"),
-            ((20_000, 1, 3), "2d1a237ec7334c0e2acae444df0751e1"
-                             "810468c198bc8eb75d3c0056626c3780"),
-            ((100_001, 7, 2), "40d42ba428118212bed05f93f8247216"
-                              "6c181196028750af9d97df0aaa97571e")):
+            ((1000, 1, 0), "cf197119787a75df23af3207d27009b5"
+                           "e082a2e25529ca41c81db849ef0e23de"),
+            ((20_000, 1, 3), "b431b4e5621f3dc625a49091eb74d9dd"
+                             "2eb0f67f5960b8ba0c46b13a2b60c187"),
+            ((100_001, 7, 2), "dd3b252afe2ed1764aa6d82ae7a63489"
+                              "147546423df9ea4578ce433a172fa436")):
         losses = sample_outage_sequence(0.927409, gamma, length, seed, stream)
         assert hashlib.sha256(losses.tobytes()).hexdigest() == digest, (
             length, seed, stream)

@@ -439,6 +439,25 @@ def test_channel_zero_velocity(capsys):
     assert rho == pytest.approx(1.0 - 1e-9, rel=1e-12)
 
 
+def test_heavy_load_channel_commands_exit_0(tmp_path, capsys):
+    # thresholds far past gamma_th = 38 (250 vehicles; a 0.3 ms slot at zero
+    # Doppler; a 0.1 ms grid point) lose every packet: P1 = Pbb = 1.0
+    path = write(tmp_path, "[link]\nnum_agvs = 250\n")
+    for args in (["channel", "--config", path],
+                 ["channel", "--velocity-mps", "0", "--ts-ms", "0.3"]):
+        assert main(args) == 0, args
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert (row[5], row[6]) == ("1.0", "1.0"), args
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-ts", "--grid-ms", "0.1,1", "--trace-time-s", "20",
+                 "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert (rows[0][4], rows[0][5]) == ("1.0", "1.0")
+    assert [r[-1] for r in rows] == ["", ""]
+    assert capsys.readouterr().err == ""
+
+
 def test_channel_table_plain_numbers(capsys):
     # at low speed every cell must be a bare number, never "np.float64(...)"
     assert main(["channel", "--n-list", "1,2", "--velocity-mps", "0.1"]) == 0
