@@ -285,14 +285,19 @@ def montecarlo_instability(cfg: ScenarioConfig, runs: int,
     if runs < 1:
         raise ParameterError("runs must be at least 1")
     point = instability_probability(cfg)
-    slots = int(math.ceil(cfg.trace_time / cfg.ts))
-    track = build_reference_track(cfg.track, cfg.trace_time, cfg.ts) \
-        if cosimulate else None
+    track = build_reference_track(cfg.track, cfg.trace_time, cfg.ts)
+    slots = track.n_steps
     work = runs * slots * (_COSIM_SLOT_WEIGHT if cosimulate else 1)
     text = io.StringIO()
+    try:   # a run's normals, which numpy may refuse, before any fork
+        np.empty(2 * slots)
+    except (MemoryError, ValueError):
+        raise ParameterError(f"a run of {slots} slots is too many to "
+                             "sample") from None
     write_shares(text, runs, work // _MIN_SHARE_SLOTS,
-                 lambda out, lo, hi: _write_runs(out, cfg, point.model, slots,
-                                                 track, lo, hi),
+                 lambda out, lo, hi: _write_runs(
+                     out, cfg, point.model, slots,
+                     track if cosimulate else None, lo, hi),
                  "running Monte-Carlo runs")
     rows = []
     for run_id, line in enumerate(text.getvalue().splitlines()):

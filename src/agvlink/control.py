@@ -18,12 +18,15 @@ plain floats, and the closed-loop simulator steps by calling them. Commands
 travel over a lossy downlink: on a lost packet the vehicle keeps applying the
 last delivered command (zero-order hold). The uplink is ideal, so the error
 is always measured from the fresh state.
+The reference track is a formula, not a stored lap: each reader evaluates
+`ReferenceTrack.at` at the steps it reads, so no memory grows with the lap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,40 +93,61 @@ class TrackSpec:
 
 @dataclass(frozen=True)
 class ReferenceTrack:
-    """Sampled closed reference path.
+    """A closed reference path sampled at period ts, n_steps steps a lap.
 
-    Arrays hold n_steps + 1 samples (index n_steps closes the lap onto index 0;
-    headings at the closure differ by one full turn because theta accumulates).
+    The lap views `xs`, `ys`, `thetas`, `nus` and `omegas` hold `at`'s
+    n_steps + 1 samples of one lap, computed on first read.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    thetas: np.ndarray
-    nus: np.ndarray
-    omegas: np.ndarray
-    ts: float
     spec: TrackSpec
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.xs) - 1
+    ts: float
+    n_steps: int
 
     @property
     def max_speed(self) -> float:
-        return float(np.max(self.nus))
+        """The path's top speed, max(a, b) times the parameter rate."""
+        return max(self.spec.semi_axis_a, self.spec.axis_b) * (
+            TWO_PI / (self.n_steps * self.ts))
 
-    def heading_per_lap(self) -> float:
-        """Accumulated heading change over one closed lap (+2*pi)."""
-        return float(self.thetas[-1] - self.thetas[0])
+    def at(self, k) -> tuple[np.ndarray, ...]:
+        """(x_r, y_r, theta_r, nu_r, omega_r) at integer steps k.
+
+        Step k is step k mod n_steps of the lap, its heading one turn on per
+        lap. Velocities are the analytic derivatives of the parametrization;
+        the heading, their direction, is the circle's tangent angle (phi -
+        3 pi/2, so a lap starts at -pi/2) plus the ellipse's angle from it,
+        which lies in (-pi/2, pi/2), so it needs no unwrapping.
+        """
+        lap, r = np.divmod(k, self.n_steps)
+        a, b = self.spec.semi_axis_a, self.spec.axis_b
+        # a numpy float, so that a cube too large for a float is inf
+        phi_dot = np.float64(TWO_PI / (self.n_steps * self.ts))
+        phi = math.pi + TWO_PI * r / self.n_steps
+        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+        nus = np.hypot(-a * sin_phi * phi_dot, b * cos_phi * phi_dot)
+        # curvature rate omega = (x' y'' - y' x'') / nu^2 with the second
+        # derivatives of the constant-rate parametrization
+        omegas = (a * b * phi_dot**3) / (nus * nus)
+        thetas = (phi - 1.5 * math.pi
+                  + np.arctan2((a - b) * sin_phi * cos_phi,
+                               a * sin_phi * sin_phi + b * cos_phi * cos_phi))
+        return a * cos_phi, b * sin_phi, thetas + TWO_PI * lap, nus, omegas
+
+    @cached_property
+    def _lap(self) -> tuple[np.ndarray, ...]:
+        return self.at(np.arange(self.n_steps + 1))
+
+    xs, ys, thetas, nus, omegas = (property(lambda self, i=i: self._lap[i])
+                                   for i in range(5))
 
 
 def build_reference_track(spec: TrackSpec, trace_time: float, ts: float) -> ReferenceTrack:
-    """Sample a closed track traced in `trace_time` seconds at period `ts`.
+    """The closed track traced in `trace_time` seconds at period `ts`.
 
     The path parameter advances by exactly one turn over ceil(trace_time/ts)
-    steps, so the final sample closes onto the first (positions exactly,
-    heading up to one accumulated turn). Reference velocities come from the
-    analytic derivatives of the parametrization.
+    steps, so step n_steps closes onto step 0 (the heading one turn on).
+    Nothing is sampled here but the slowest and the fastest step, whose
+    speed and turn rate must be finite.
     """
     if not 0.0 < ts < math.inf:
         raise ParameterError("sampling period ts must be positive and finite")
@@ -135,45 +159,22 @@ def build_reference_track(spec: TrackSpec, trace_time: float, ts: float) -> Refe
         raise ParameterError(f"trace_time / ts = {trace_time!r} / {ts!r} "
                              "is not a finite step count")
     n_steps = math.ceil(steps)
-    a, b = spec.semi_axis_a, spec.axis_b
-
-    # a numpy float, so that a cube too large for a float is inf
-    phi_dot = np.float64(TWO_PI / (n_steps * ts))
-    # an array beyond numpy's largest size (ValueError) or beyond the memory
-    # left (MemoryError) makes the lap too long to sample; a speed or turn
-    # rate that is not finite is refused below, so it raises no warning here
-    try:
-        with np.errstate(all="ignore"):
-            phi = math.pi + TWO_PI * np.arange(n_steps + 1) / n_steps
-            # one cosine and one sine of phi, each freed before the next
-            cos_phi = np.cos(phi)
-            xs = a * cos_phi
-            y_dot = b * cos_phi * phi_dot
-            del cos_phi
-            sin_phi = np.sin(phi)
-            del phi
-            ys = b * sin_phi
-            x_dot = -a * sin_phi * phi_dot
-            del sin_phi
-            # curvature rate omega = (x' y'' - y' x'') / nu^2 with the second
-            # derivatives of the constant-rate parametrization
-            nus = np.hypot(x_dot, y_dot)
-            omegas = (a * b * phi_dot**3) / (nus * nus)
-            thetas = np.unwrap(np.arctan2(y_dot, x_dot))
-    except (MemoryError, ValueError):
+    if n_steps > np.iinfo(np.intp).max:
         raise ParameterError(f"trace_time / ts = {trace_time!r} / {ts!r} "
-                             f"needs {n_steps} steps, too many to "
-                             "sample") from None
+                             f"needs {n_steps} steps, too many to sample")
+    track = ReferenceTrack(spec=spec, ts=float(ts), n_steps=n_steps)
     # a semi-axis so small that nu * nu underflows gives 0 / 0 turn rates,
     # one so large that it overflows gives inf / inf, and a lap of few, very
-    # short steps gives a turn rate too large for a float
-    if not (np.isfinite(nus).all() and np.isfinite(omegas).all()):
-        raise ParameterError(f"track semi-axes {a!r} and {b!r} m at "
-                             f"trace_time / ts = {trace_time!r} / {ts!r} "
-                             "give a speed or turn rate that is not finite")
-
-    return ReferenceTrack(xs=xs, ys=ys, thetas=thetas, nus=nus, omegas=omegas,
-                          ts=float(ts), spec=spec)
+    # short steps gives a turn rate too large for a float; speed and turn
+    # rate are extreme at steps 0 and n_steps / 4
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(track.at([0, n_steps // 4])[3:]).all()
+    if not finite:
+        raise ParameterError(f"track semi-axes {spec.semi_axis_a!r} and "
+                             f"{spec.axis_b!r} m at trace_time / ts = "
+                             f"{trace_time!r} / {ts!r} give a speed or turn "
+                             "rate that is not finite")
+    return track
 
 
 def tracking_error(x_r: float, y_r: float, theta_r: float,
@@ -231,17 +232,6 @@ class Trajectory:
         return np.hypot(self.x_e, self.y_e)
 
 
-def _reference(track: ReferenceTrack, lo: int, hi: int):
-    """(x_r, y_r, theta_r, nu_r, omega_r) of steps lo..hi-1: the closed track
-    read lap after lap, the heading continued by one turn per lap."""
-    k = np.arange(lo, hi)
-    r = k % track.n_steps
-    # numpy rounds each elementwise product and sum as Python floats do
-    return (track.xs[r], track.ys[r],
-            track.thetas[r] + k // track.n_steps * track.heading_per_lap(),
-            track.nus[r], track.omegas[r])
-
-
 # Steps per block of the simulator: enough to amortise the numpy calls that
 # read the track and store the outputs, few enough that the block's Python
 # floats (eight lists of them) stay well under 1 MB however long the run is.
@@ -260,7 +250,7 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
 
     Each step is `tracking_error`, `control_law` and `plant_step` on Python
     floats; the loop adds only the hold register. It runs `_SIM_BLOCK` steps
-    at a time: a block reads its stretch of the track from `_reference` as
+    at a time: a block reads its stretch of the track from `track.at` as
     Python floats, keeps the per-step values in lists and stores them into
     the output arrays once at the block's end.
     """
@@ -272,7 +262,7 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
 
     ts = track.ts
     outputs = [np.empty(steps) for _ in range(8)]
-    x, y, th = track.xs[0].item(), track.ys[0].item(), track.thetas[0].item()
+    x, y, th = (float(v) for v in track.at(0)[:3])
 
     for lo in range(0, steps, _SIM_BLOCK):
         hi = min(lo + _SIM_BLOCK, steps)
@@ -280,7 +270,7 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
         (put_xc, put_yc, put_thc, put_xe, put_ye, put_the,
          put_nu, put_om) = [v.append for v in values]
         for x_r, y_r, th_r, nu_r, om_r, lost in zip(
-                *(v.tolist() for v in _reference(track, lo, hi)),
+                *(v.tolist() for v in track.at(np.arange(lo, hi))),
                 out_flag[lo:hi].tolist()):
             xe, ye, the = tracking_error(x_r, y_r, th_r, x, y, th)
             if not lost:
@@ -317,7 +307,7 @@ def _write_rows(fh, traj: Trajectory, track: ReferenceTrack,
     for start in range(lo, hi, _CSV_BLOCK_ROWS):
         stop = min(start + _CSV_BLOCK_ROWS, hi)
         k = np.arange(start, stop)
-        floats = [k * traj.ts, *_reference(track, start, stop)[:3],
+        floats = [k * traj.ts, *track.at(k)[:3],
                   *(c[start:stop] for c in states)]
         columns = [map(str, k.tolist()),
                    *(map(repr, f.tolist()) for f in floats),
@@ -328,7 +318,7 @@ def _write_rows(fh, traj: Trajectory, track: ReferenceTrack,
 def write_trajectory_csv(traj: Trajectory, track: ReferenceTrack, path) -> None:
     """Write a run to CSV (one row per step, header mandatory, SI units).
 
-    The reference columns come from `_reference`, as the simulator's do.
+    The reference columns come from `track.at`, as the simulator's do.
     Each float is written as its shortest round-trip `repr` and each outage
     flag as 0 or 1. Rows are formatted in blocks of `_CSV_BLOCK_ROWS`, so
     memory does not grow with the length of the run. A run is worth one

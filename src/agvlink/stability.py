@@ -43,15 +43,15 @@ the guess was wrong. Like any bracket it assumes that every lag up to n_max
 is stable and none just above it is; the tests check that on small tracks.
 
 An ellipse is tested in frozen time: the loop above is formed at the
-operating points of FROZEN_POINTS track samples spaced evenly in speed from
-the slowest to the fastest (on the constant-rate ellipse the speed fixes the
-curvature), and a lag is stable when it is stable at each of them. This
-samples the lap, it does not cover it: a lag unstable only between two
-samples would pass. On the ellipses checked, the lag a step tolerates alone
-never grew with its speed, so without a margin the fastest sample binds;
-under a margin the slowest can bind first, its slow mode lying nearest the
-circle. The tests check the samples against every 25th step of a lap on which
-that lag falls from 31 to 17.
+FROZEN_POINTS steps of the first quarter-lap, found in closed form, whose
+speeds are spaced evenly from the fastest to the slowest (on the ellipse the
+speed fixes the curvature), and a lag is stable when it is stable at each
+of them. This samples the lap, it does not cover it: a lag unstable only
+between two samples would pass. On the ellipses checked, the lag a step
+tolerates alone never grew with its speed, so without a margin the fastest
+sample binds; under a margin the slowest can bind first, its slow mode lying
+nearest the circle. The tests check the samples against every 25th step of
+a lap on which that lag falls from 31 to 17.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from functools import cached_property
 import numpy as np
 
 from ._io import write_table
-from .control import Gains, ReferenceTrack
+from .control import TWO_PI, Gains, ReferenceTrack
 from .exceptions import ParameterError
 
 __all__ = [
@@ -180,9 +180,9 @@ def _error_frame_loop(nu: float, delta: float, ts: float,
 
 def _operating_point(track: ReferenceTrack, g: Gains, k: int) -> _OperatingPoint:
     """The error-frame delayed loop frozen at track step k."""
-    nu = float(track.nus[k])
-    delta = float(track.thetas[k + 1] - track.thetas[k])
-    m0, u, v = _error_frame_loop(nu, delta, track.ts, g)
+    _, _, thetas, nus, _ = track.at([k, k + 1])
+    m0, u, v = _error_frame_loop(float(nus[0]), float(thetas[1] - thetas[0]),
+                                 track.ts, g)
     d0 = m0 - np.eye(3)
     mn = u @ v
     a0 = _char_poly(d0)
@@ -192,13 +192,16 @@ def _operating_point(track: ReferenceTrack, g: Gains, k: int) -> _OperatingPoint
 
 
 def _operating_points(track: ReferenceTrack, g: Gains) -> tuple[_OperatingPoint, ...]:
-    """The frozen-time points the stability test evaluates, fastest first."""
-    nus = track.nus[:-1]
-    if track.spec.semi_axis_a == track.spec.axis_b:
+    """The frozen-time points, fastest first. On the ellipse speed v phi' is
+    reached at phi = pi + psi, sin^2 psi = (v^2 - b^2) / (a^2 - b^2): on the
+    first quarter-lap, at the step nearest psi n_steps / (2 pi)."""
+    a, b = track.spec.semi_axis_a, track.spec.axis_b
+    if a == b:
         steps = [0]
     else:
-        targets = np.linspace(float(np.max(nus)), float(np.min(nus)), FROZEN_POINTS)
-        steps = list(dict.fromkeys(int(np.argmin(np.abs(nus - t))) for t in targets))
+        v = np.linspace(max(a, b), min(a, b), FROZEN_POINTS)
+        psi = np.arcsin(np.sqrt((v * v - b * b) / (a * a - b * b)))
+        steps = dict.fromkeys(map(int, np.rint(psi * track.n_steps / TWO_PI)))
     return tuple(_operating_point(track, g, k) for k in steps)
 
 
@@ -283,7 +286,7 @@ def outage_tolerance(track: ReferenceTrack, g: Gains,
     """Largest lag n at which the delayed loop is stable.
 
     Every lag is decided by root counts: lag 0 first, then the seed n^,
-    the lag of `_mode_limit` at the fastest operating point (lag 1 under a
+    the lag of `_mode_limit` at the track's top speed (lag 1 under a
     margin or past an eighth of the lap), then n^ + 1 if n^ is stable or
     n^ - 1 if not. On the circles checked that settles the boundary; where
     the seed is wrong, the bracket grows upward in doubling steps, or falls
@@ -312,7 +315,7 @@ def outage_tolerance(track: ReferenceTrack, g: Gains,
     # them, and on a lap so short that the seed's delay turns the heading by
     # pi/4 or more, stability can come back further up the lap; there the
     # bracket grows from lag 1 instead
-    guess = _mode_limit(float(track.nus[points[0].step]), track.ts, g)
+    guess = _mode_limit(track.max_speed, track.ts, g)
     if margin > 0.0 or 8.0 * guess >= track.n_steps:
         guess = 1.0
     seed = min(max(int(guess), 1), cap)

@@ -119,11 +119,11 @@ def one_minus_pbb_mp(gamma_th: float, rho: float) -> float:
 
 def reference_per_step(track, steps):
     """Yield (x_r, y_r, theta_r, nu_r, omega_r) for steps 0..steps-1, one
-    `.item` lookup each: step k reads sample k mod n_steps, with the heading
-    continued by k // n_steps whole laps."""
+    `.item` lookup each: step k reads sample k mod n_steps of the lap views,
+    with the heading continued by k // n_steps turns of exactly 2 pi."""
     xs, ys, thetas = track.xs.item, track.ys.item, track.thetas.item
     nus, omegas = track.nus.item, track.omegas.item
-    n_steps, lap_turn = track.n_steps, track.heading_per_lap()
+    n_steps, lap_turn = track.n_steps, 2.0 * math.pi
     for k in range(steps):
         r = k % n_steps
         yield (xs(r), ys(r), thetas(r) + k // n_steps * lap_turn,

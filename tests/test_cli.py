@@ -286,10 +286,11 @@ def test_main_bad_flag_values_exit_2(capsys):
                 "finite\n"), command
     assert main(["channel", "--ts-ms", "1e-6", "--velocity-mps", "1"]) == 2
     assert "not finite" in capsys.readouterr().err
-    # laps too long to sample are refused before numpy allocates anything
-    for trace_time in ("1e20", "1e12"):
-        assert main(["nmax", "--trace-time-s", trace_time]) == 2
-        assert "too many to sample" in capsys.readouterr().err
+    # a lap of more steps than numpy can index is refused; 1e15 steps are not
+    assert main(["nmax", "--trace-time-s", "1e20"]) == 2
+    assert "too many to sample" in capsys.readouterr().err
+    assert main(["nmax", "--trace-time-s", "1e12"]) == 0
+    assert capsys.readouterr().err == ""
     # subcommand-only options go through the same parsers, under their names
     for flag, args in (("--velocity-mps", ["channel", "--velocity-mps", "nan"]),
                        ("--velocity-mps", ["channel", "--velocity-mps", "inf"]),
@@ -334,6 +335,49 @@ def test_simulate_trajectory_beyond_memory_exits_2():
                           text=True, capture_output=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: --steps must fit in memory, got 50000000\n"
+
+
+ELLIPSE = "[track]\nshape = ellipse\nsemi_axis_a_m = 350\nsemi_axis_b_m = 200\n"
+
+
+def test_long_lap_is_read_not_sampled(tmp_path, capsys):
+    # a lap of 1e15 steps: the analytic commands read a few of its steps,
+    # while a Monte-Carlo run would sample every slot and is refused before
+    # a share is forked
+    for config in ([], ["--config", write(tmp_path, ELLIPSE)]):
+        for args in (["nmax", "--trace-time-s", "1e12"],
+                     ["channel", "--trace-time-s", "1e12"],
+                     ["sweep-trace", "--grid-s", "1e12"]):
+            assert main(args + config) == 0, args + config
+            out, err = capsys.readouterr()
+            assert err == "" and "error:" not in out, args + config
+    for cosimulate in ([], ["--cosimulate"]):
+        assert main(["montecarlo", "--trace-time-s", "1e12", "--runs", "2",
+                     *cosimulate]) == 2
+        assert capsys.readouterr().err == (
+            "error: a run of 1000000000000000 slots is too many to sample\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/statm and relies on RLIMIT_AS")
+def test_nmax_memory_does_not_grow_with_the_lap(tmp_path):
+    # laps of 25 M steps (circle, 500 s) and 5 M steps (ellipse, 100 s) at
+    # 0.02 ms: five stored arrays of the circle's lap alone would need 1 GB,
+    # more than the 1 GiB the child may map beyond its imports
+    code = textwrap.dedent(f"""
+        import os, resource, sys
+        from agvlink.cli import main
+        with open("/proc/self/statm") as fh:
+            mapped = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        limit = mapped + (1 << 30)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        sys.exit(main(["nmax", "--ts-ms", "0.02"])
+                 or main(["nmax", "--ts-ms", "0.02", "--trace-time-s", "100",
+                          "--config", {write(tmp_path, ELLIPSE)!r}]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                          text=True, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "7853\n7852\n", "")
 
 
 @pytest.mark.parametrize("args", [["nmax"], ["sweep-trace"], ["channel"],

@@ -346,6 +346,27 @@ def test_ellipse_samples_agree_with_dense_lap(gains, margin):
     assert any(p.roots_outside(n_max + 1, limit) > 0 for p in lap)
 
 
+def test_frozen_steps_lie_on_the_first_quarter_lap(gains):
+    # the closed-form steps, fastest first, lie on the first quarter-lap
+    # rounded to the nearest step (so n_steps // 4 + 1 where n_steps mod 4
+    # is 3), each within a step of the one whose speed is nearest its
+    # target; a >= b and a < b, n_steps = 5000 to 5003
+    from agvlink.stability import FROZEN_POINTS, _operating_points
+    for b in (100.0, 200.0, 600.0):
+        for trace_time in (20.0, 20.004, 20.008, 20.012):
+            track = build_reference_track(
+                TrackSpec(shape="ellipse", semi_axis_b=b), trace_time, 4e-3)
+            quarter = track.nus[:(track.n_steps + 2) // 4 + 1]
+            steps = [p.step for p in _operating_points(track, gains)]
+            assert len(steps) == FROZEN_POINTS and steps[0] == np.argmax(quarter)
+            phi_dot = 2.0 * math.pi / (track.n_steps * track.ts)
+            targets = np.linspace(max(350.0, b), min(350.0, b),
+                                  FROZEN_POINTS) * phi_dot
+            for k, target in zip(steps, targets):
+                assert 0 <= k < len(quarter), (b, track.n_steps, k)
+                assert abs(k - np.argmin(np.abs(quarter - target))) <= 1
+
+
 def _burst_error(track, gains, start, length):
     """Position error of a run of one lap with `length` losses from `start`."""
     schedule = np.zeros(track.n_steps, dtype=bool)
