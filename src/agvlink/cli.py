@@ -367,7 +367,10 @@ def _cmd_simulate(cfg: CliConfig, args: argparse.Namespace) -> int:
     # a schedule (1 byte per step) beyond numpy's largest size (ValueError)
     # or beyond the memory left (MemoryError), or a trajectory (65 bytes per
     # step) beyond the memory left, makes the run too long to simulate
-    too_long = f"--steps must fit in memory, got {steps}"
+    too_long = (f"--steps must fit in memory, got {steps}"
+                if args.steps is not None else
+                f"--trace-time-s / --ts-ms must give a lap that fits in "
+                f"memory, got {steps} steps")
     try:
         schedule = (sample_outage_sequence(model.rho, model.gamma_th, steps,
                                            scenario.seed)

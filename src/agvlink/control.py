@@ -20,6 +20,11 @@ last delivered command (zero-order hold). The uplink is ideal, so the error
 is always measured from the fresh state.
 The reference track is a formula, not a stored lap: each reader evaluates
 `ReferenceTrack.at` at the steps it reads, so no memory grows with the lap.
+`simulate_closed_loop` records every step of one run. A co-simulated
+Monte-Carlo run needs only its worst position error, so
+`_worst_position_errors` steps many runs together through the same three
+kernel calls, reads each block of the track once for all of them and
+records only x_e and y_e.
 """
 
 from __future__ import annotations
@@ -283,6 +288,46 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
             out[lo:hi] = vals
 
     return Trajectory(ts, *outputs, outage=out_flag)   # in field order
+
+
+def _worst_position_errors(track: ReferenceTrack, g: Gains,
+                           schedules) -> list[float]:
+    """Each run's worst ||(x_e, y_e)||, the max of `simulate_closed_loop(
+    track, g, schedule).position_error()`, for equal-length schedules.
+
+    The runs step together, `_SIM_BLOCK` steps at a time, through the same
+    kernel calls and hold register as the simulator: each block's stretch
+    of the track is read once for all runs, and a run records only x_e and
+    y_e, whose hypot it folds into its worst at the block's end.
+    """
+    ts = track.ts
+    steps = len(schedules[0])
+    start = [float(v) for v in track.at(0)[:3]]
+    # x, y, theta and the held (nu, omega); step 0 always delivers, so the
+    # hold register's seed is never applied
+    states = [[*start, 0.0, 0.0] for _ in schedules]
+    worst = np.full(len(schedules), -np.inf)
+    for lo in range(0, steps, _SIM_BLOCK):
+        hi = min(lo + _SIM_BLOCK, steps)
+        reference = [v.tolist() for v in track.at(np.arange(lo, hi))]
+        block_worst = []
+        for state, schedule in zip(states, schedules):
+            x, y, th, nu, om = state
+            lost_flags = schedule[lo:hi].tolist()
+            if lo == 0:
+                lost_flags[0] = False   # the first command seeds the register
+            x_es, y_es = [], []
+            put_xe, put_ye = x_es.append, y_es.append
+            for x_r, y_r, th_r, nu_r, om_r, lost in zip(*reference, lost_flags):
+                xe, ye, the = tracking_error(x_r, y_r, th_r, x, y, th)
+                if not lost:
+                    nu, om = control_law(xe, ye, the, nu_r, om_r, g)
+                put_xe(xe); put_ye(ye)
+                x, y, th = plant_step(x, y, th, nu, om, ts)
+            state[:] = x, y, th, nu, om
+            block_worst.append(np.max(np.hypot(x_es, y_es)))
+        np.maximum(worst, block_worst, out=worst)   # a NaN stays, as in np.max
+    return worst.tolist()
 
 
 # Rows per formatted block: enough to amortise the numpy calls, few enough

@@ -304,6 +304,8 @@ def test_main_bad_flag_values_exit_2(capsys):
     # values that pass their parser but overflow what they feed: a Doppler
     # shift, and a loss schedule numpy refuses before it allocates anything
     huge = str(10 ** 20)
+    lap_too_long = ("--trace-time-s / --ts-ms must give a lap that fits in "
+                    "memory, got 1000000000000000 steps")
     for args, want in (
             (["channel", "--velocity-mps", "1e308"],
              "--velocity-mps must give a finite Doppler shift at "
@@ -311,7 +313,11 @@ def test_main_bad_flag_values_exit_2(capsys):
             (["simulate", "--trace-time-s", "2", "--steps", huge],
              f"--steps must fit in memory, got {huge}"),
             (["simulate", "--trace-time-s", "2", "--steps", huge,
-              "--sample-outages"], f"--steps must fit in memory, got {huge}")):
+              "--sample-outages"], f"--steps must fit in memory, got {huge}"),
+            # without --steps the run is one lap, which the message names
+            (["simulate", "--trace-time-s", "1e12"], lap_too_long),
+            (["simulate", "--trace-time-s", "1e12", "--sample-outages"],
+             lap_too_long)):
         assert main(args) == 2, args
         assert f"error: {want}" in capsys.readouterr().err, args
 

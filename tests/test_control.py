@@ -27,6 +27,7 @@ from agvlink import (
     write_trajectory_csv,
 )
 from agvlink import control
+from agvlink.channel import LinkParams, build_outage_model, sample_outage_sequence
 from agvlink.control import TRAJECTORY_COLUMNS
 
 from conftest import closed_loop_per_step, delayed_position_error, needs_fork
@@ -378,6 +379,53 @@ def test_simulator_memory_does_not_grow_with_the_run(small_track, gains):
         extra[steps] = (peak - 65 * steps) / 2**20
     assert max(extra.values()) < 2.0, extra
     assert abs(extra[40_000] - extra[20_000]) < 0.25, extra
+
+
+@pytest.fixture(scope="module")
+def lap20():
+    """The 20 s circle at 1 ms: 20 000 steps, no whole number of blocks."""
+    return build_reference_track(TrackSpec(), 20.0, 1e-3)
+
+
+def _burst_cycle(steps, n):
+    """One delivery, then n losses, repeated."""
+    return np.arange(steps) % (n + 1) != 0
+
+
+def _sampled(track, steps, runs):
+    """Loss schedules of the default link at the track's top speed."""
+    model = build_outage_model(LinkParams(), track.ts, track.max_speed)
+    return [sample_outage_sequence(model.rho, model.gamma_th, steps, seed,
+                                   stream=stream) for seed, stream in runs]
+
+
+def test_batched_worst_errors_equal_the_simulators(lap20, gains):
+    # each run's worst error is the max of its simulated position error,
+    # bit for bit: on a lap of 19.5 blocks and on the ellipse, for runs
+    # shorter than a block and for a group of one run
+    assert lap20.n_steps % control._SIM_BLOCK
+    ellipse = build_reference_track(
+        TrackSpec(shape="ellipse", semi_axis_b=200.0), 20.0, 4e-3)
+    for track, schedules in (
+            (lap20, [*_sampled(lap20, lap20.n_steps, [(1, 5), (7, 2)]),
+                     _burst_cycle(lap20.n_steps, 120)]),
+            (ellipse, _sampled(ellipse, ellipse.n_steps, [(3, 0), (3, 1)])),
+            (ellipse, _sampled(ellipse, 300, [(5, 0), (5, 4), (9, 1)])),
+            (ellipse, _sampled(ellipse, ellipse.n_steps, [(11, 3)]))):
+        got = control._worst_position_errors(track, gains, schedules)
+        want = [np.max(simulate_closed_loop(track, gains, s).position_error())
+                for s in schedules]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_batched_worst_errors_tell_burst_cycles_apart(lap20, gains):
+    # the held loop on the 20 s circle at 1 ms survives a burst cycle of up
+    # to 113 losses, rho(A_L^n A_D) < 1: at 100 it keeps the loss-free
+    # standing error of 3.92e-3 m, at 120 it diverges within the lap
+    calm, wild = control._worst_position_errors(
+        lap20, gains, [_burst_cycle(lap20.n_steps, n) for n in (100, 120)])
+    assert calm < 4e-3
+    assert wild > 1.0
 
 
 def test_delay_oracle_matches_simulator(tiny_track, gains):
