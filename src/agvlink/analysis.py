@@ -37,7 +37,7 @@ from .channel import (
     consecutive_outage_prob,
     sample_outage_sequence,
 )
-from .control import Gains, TrackSpec, _worst_position_errors, build_reference_track
+from .control import Gains, TrackSpec, build_reference_track, simulate_closed_loop
 from .exceptions import NumericConsistencyError, ParameterError
 from .stability import outage_tolerance
 
@@ -55,19 +55,14 @@ DEFAULT_TRACE_GRID = (20.0, 100.0, 333.0, 500.0, 1000.0)
 _Z95 = 1.959963984540054   # two-sided 95% normal quantile
 
 # Fewest outage slots worth a forked share of Monte-Carlo runs: sampling and
-# scanning a slot takes about 0.2-0.33 us, so a share this large is 0.05-0.09 s
-# of work against a fork and the reading back of its few lines, 4-14 ms
-# (2-core x86-64 VM).
+# scanning a slot takes about 0.16-0.27 us, so a share this large is
+# 0.04-0.07 s of work against a fork and the reading back of its few lines,
+# 4-14 ms (2-core x86-64 VM).
 _MIN_SHARE_SLOTS = 1 << 18
-# A co-simulated slot also steps the closed loop, about 1.1-2.0 us against
-# 0.2-0.33 us to sample and scan it, 5.3-7.7 times a sampled slot in all:
+# A co-simulated slot also steps the closed loop, about 0.9-1.4 us against
+# 0.16-0.27 us to sample and scan it, 5-10 times a sampled slot in all:
 # 6 slots' worth.
 _COSIM_SLOT_WEIGHT = 6
-# Most co-simulated runs stepped together. Their loss schedules, one byte a
-# slot each, then take no more memory than the 65-byte-a-slot trajectory of
-# one run, whatever --runs is; uncapped, a share of 500 runs of the default
-# 500 000-slot lap would hold 250 MB of schedules.
-_COSIM_GROUP = 64
 
 
 @dataclass(frozen=True)
@@ -259,20 +254,15 @@ def _write_runs(out, cfg: ScenarioConfig, model: OutageModel, slots: int,
                 track, lo: int, hi: int) -> None:
     """Write one line per run lo..hi-1 to `out`: its longest loss run and,
     with a `track` to drive the closed loop along, `,` and the worst
-    tracking error as its `repr`, which reads back exactly.
-
-    Co-simulated runs are sampled and stepped `_COSIM_GROUP` at a time;
-    other runs one at a time."""
-    group = _COSIM_GROUP if track is not None else 1
-    for first in range(lo, hi, group):
-        schedules = [sample_outage_sequence(model.rho, model.gamma_th, slots,
-                                            cfg.seed, stream=run_id)
-                     for run_id in range(first, min(first + group, hi))]
-        lines = [str(longest_outage_run(s)) for s in schedules]
+    tracking error as its `repr`, which reads back exactly."""
+    for run_id in range(lo, hi):
+        outages = sample_outage_sequence(model.rho, model.gamma_th, slots,
+                                         cfg.seed, stream=run_id)
+        line = str(longest_outage_run(outages))
         if track is not None:
-            errors = _worst_position_errors(track, cfg.gains, schedules)
-            lines = [f"{line},{err!r}" for line, err in zip(lines, errors)]
-        out.writelines(line + "\n" for line in lines)
+            traj = simulate_closed_loop(track, cfg.gains, outages)
+            line += f",{float(np.max(traj.position_error()))!r}"
+        out.write(line + "\n")
 
 
 def montecarlo_instability(cfg: ScenarioConfig, runs: int,
@@ -284,10 +274,7 @@ def montecarlo_instability(cfg: ScenarioConfig, runs: int,
     unstable when it contains a loss run of at least n_max + 1 slots — the
     shortest run the tolerance analysis cannot absorb. With `cosimulate`
     the closed loop is driven by the same loss sequence to record the
-    realized worst tracking error; otherwise that column is NaN. Up to
-    `_COSIM_GROUP` co-simulated runs step together through each block of
-    the track and keep only their worst error, the value the run's full
-    `simulate_closed_loop` trajectory would give.
+    realized worst tracking error; otherwise that column is NaN.
 
     The runs are worth one share per `_MIN_SHARE_SLOTS` sampled slots (a
     co-simulated slot counts `_COSIM_SLOT_WEIGHT`), and `_io.write_shares`

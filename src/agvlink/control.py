@@ -14,17 +14,15 @@ and sends back the velocity command
 
 which the vehicle integrates with a forward-Euler step of period ts.
 `tracking_error`, `control_law` and `plant_step` are these three equations on
-plain floats, and the closed-loop simulator steps by calling them. Commands
+plain floats. The closed-loop simulator writes the same expressions out in
+its loop, in the same order, so every value it records equals the
+functions' bit for bit; a step then makes no function calls and takes one
+cos and sin of the heading instead of two of each. Commands
 travel over a lossy downlink: on a lost packet the vehicle keeps applying the
 last delivered command (zero-order hold). The uplink is ideal, so the error
 is always measured from the fresh state.
 The reference track is a formula, not a stored lap: each reader evaluates
 `ReferenceTrack.at` at the steps it reads, so no memory grows with the lap.
-`simulate_closed_loop` records every step of one run. A co-simulated
-Monte-Carlo run needs only its worst position error, so
-`_worst_position_errors` steps many runs together through the same three
-kernel calls, reads each block of the track once for all of them and
-records only x_e and y_e.
 """
 
 from __future__ import annotations
@@ -207,7 +205,7 @@ def control_law(x_e: float, y_e: float, theta_e: float, nu_r: float,
 def plant_step(x: float, y: float, theta: float, nu: float, omega: float,
                ts: float) -> tuple[float, float, float]:
     """One forward-Euler step of the unicycle difference equation."""
-    if ts <= 0.0:
+    if ts <= 0.0:   # plant_step's refusal, made once
         raise ParameterError("sampling period ts must be positive")
     return (x + ts * math.cos(theta) * nu,
             y + ts * math.sin(theta) * nu,
@@ -254,10 +252,10 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
     wrap around the closed track with the heading continued across laps.
 
     Each step is `tracking_error`, `control_law` and `plant_step` on Python
-    floats; the loop adds only the hold register. It runs `_SIM_BLOCK` steps
-    at a time: a block reads its stretch of the track from `track.at` as
-    Python floats, keeps the per-step values in lists and stores them into
-    the output arrays once at the block's end.
+    floats, written out in the loop, plus the hold register. It runs
+    `_SIM_BLOCK` steps at a time: a block reads its stretch of the track
+    from `track.at` as Python floats, keeps the per-step values in lists and
+    stores them into the output arrays once at the block's end.
     """
     out_flag = np.array(outage_schedule, dtype=bool)   # a copy: step 0 is cleared
     steps = len(out_flag)
@@ -266,6 +264,10 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
     out_flag[0] = False   # the first command seeds the hold register
 
     ts = track.ts
+    if ts <= 0.0:   # plant_step's refusal, made once
+        raise ParameterError("sampling period ts must be positive")
+    k_x, k_y, k_theta = g.k_x, g.k_y, g.k_theta
+    cos, sin = math.cos, math.sin
     outputs = [np.empty(steps) for _ in range(8)]
     x, y, th = (float(v) for v in track.at(0)[:3])
 
@@ -277,57 +279,21 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
         for x_r, y_r, th_r, nu_r, om_r, lost in zip(
                 *(v.tolist() for v in track.at(np.arange(lo, hi))),
                 out_flag[lo:hi].tolist()):
-            xe, ye, the = tracking_error(x_r, y_r, th_r, x, y, th)
-            if not lost:
-                nu, om = control_law(xe, ye, the, nu_r, om_r, g)
+            c, s = cos(th), sin(th)   # tracking_error's and plant_step's
+            dx, dy = x_r - x, y_r - y
+            xe, ye, the = c * dx + s * dy, -s * dx + c * dy, th_r - th
+            if not lost:   # control_law
+                w = wrap_angle(the)
+                nu = nu_r * cos(w) + k_x * xe
+                om = om_r + nu_r * (k_y * ye + k_theta * sin(w))
             put_xc(x); put_yc(y); put_thc(th)
             put_xe(xe); put_ye(ye); put_the(the)
             put_nu(nu); put_om(om)
-            x, y, th = plant_step(x, y, th, nu, om, ts)
+            x, y, th = x + ts * c * nu, y + ts * s * nu, th + ts * om
         for out, vals in zip(outputs, values):
             out[lo:hi] = vals
 
     return Trajectory(ts, *outputs, outage=out_flag)   # in field order
-
-
-def _worst_position_errors(track: ReferenceTrack, g: Gains,
-                           schedules) -> list[float]:
-    """Each run's worst ||(x_e, y_e)||, the max of `simulate_closed_loop(
-    track, g, schedule).position_error()`, for equal-length schedules.
-
-    The runs step together, `_SIM_BLOCK` steps at a time, through the same
-    kernel calls and hold register as the simulator: each block's stretch
-    of the track is read once for all runs, and a run records only x_e and
-    y_e, whose hypot it folds into its worst at the block's end.
-    """
-    ts = track.ts
-    steps = len(schedules[0])
-    start = [float(v) for v in track.at(0)[:3]]
-    # x, y, theta and the held (nu, omega); step 0 always delivers, so the
-    # hold register's seed is never applied
-    states = [[*start, 0.0, 0.0] for _ in schedules]
-    worst = np.full(len(schedules), -np.inf)
-    for lo in range(0, steps, _SIM_BLOCK):
-        hi = min(lo + _SIM_BLOCK, steps)
-        reference = [v.tolist() for v in track.at(np.arange(lo, hi))]
-        block_worst = []
-        for state, schedule in zip(states, schedules):
-            x, y, th, nu, om = state
-            lost_flags = schedule[lo:hi].tolist()
-            if lo == 0:
-                lost_flags[0] = False   # the first command seeds the register
-            x_es, y_es = [], []
-            put_xe, put_ye = x_es.append, y_es.append
-            for x_r, y_r, th_r, nu_r, om_r, lost in zip(*reference, lost_flags):
-                xe, ye, the = tracking_error(x_r, y_r, th_r, x, y, th)
-                if not lost:
-                    nu, om = control_law(xe, ye, the, nu_r, om_r, g)
-                put_xe(xe); put_ye(ye)
-                x, y, th = plant_step(x, y, th, nu, om, ts)
-            state[:] = x, y, th, nu, om
-            block_worst.append(np.max(np.hypot(x_es, y_es)))
-        np.maximum(worst, block_worst, out=worst)   # a NaN stays, as in np.max
-    return worst.tolist()
 
 
 # Rows per formatted block: enough to amortise the numpy calls, few enough

@@ -9,7 +9,6 @@ its own draws, and the Wilson interval against scipy's implementation.
 import io
 import math
 import os
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,13 +24,9 @@ from agvlink import (
     PointResult,
     ScenarioConfig,
     TrackSpec,
-    build_outage_model,
-    build_reference_track,
     instability_probability,
     longest_outage_run,
     montecarlo_instability,
-    sample_outage_sequence,
-    simulate_closed_loop,
     sweep_sampling_time,
     sweep_trace_time,
     wilson_interval,
@@ -310,52 +305,6 @@ def test_montecarlo_split_matches_one_process(short_cfg, forks, monkeypatch,
     assert montecarlo_instability(short_cfg, runs=7,
                                   cosimulate=cosimulate) == alone
     assert len(forks) == 2
-
-
-def test_cosimulated_groups_match_the_simulator(short_cfg, short_point,
-                                                monkeypatch):
-    # 7 runs in groups of 3, 3 and 1 give each run's own simulated worst
-    # error, as one group of 7 does
-    track = build_reference_track(short_cfg.track, short_cfg.trace_time,
-                                  short_cfg.ts)
-    model = short_point.model
-    want = []
-    for run_id in range(7):
-        outages = sample_outage_sequence(model.rho, model.gamma_th,
-                                         track.n_steps, short_cfg.seed,
-                                         stream=run_id)
-        traj = simulate_closed_loop(track, short_cfg.gains, outages)
-        want.append(f"{longest_outage_run(outages)},"
-                    f"{float(np.max(traj.position_error()))!r}\n")
-    for group in (analysis._COSIM_GROUP, 3):
-        monkeypatch.setattr(analysis, "_COSIM_GROUP", group)
-        out = io.StringIO()
-        analysis._write_runs(out, short_cfg, model, track.n_steps, track,
-                             0, 7)
-        assert out.getvalue() == "".join(want), group
-
-
-def test_cosimulated_share_holds_no_trajectory(monkeypatch):
-    # a run's trajectory takes 65 bytes a slot; a share of 2 co-simulated
-    # runs of 10 000 slots keeps their schedules and one block of floats.
-    # The schedules are drawn before tracing starts: the sampler's own
-    # transient memory does not depend on co-simulation
-    cfg = ScenarioConfig(trace_time=10.0, ts=1e-3)
-    track = build_reference_track(cfg.track, cfg.trace_time, cfg.ts)
-    model = build_outage_model(cfg.link, cfg.ts, track.max_speed)
-    drawn = [sample_outage_sequence(model.rho, model.gamma_th, track.n_steps,
-                                    cfg.seed, stream=run_id)
-             for run_id in range(2)]
-    monkeypatch.setattr(analysis, "sample_outage_sequence",
-                        lambda *args, stream: drawn[stream].copy())
-    tracemalloc.start()
-    try:
-        analysis._write_runs(io.StringIO(), cfg, model, track.n_steps, track,
-                             0, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / track.n_steps < 65
 
 
 @needs_fork

@@ -7,6 +7,7 @@ import os
 import re
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -399,31 +400,34 @@ def _sampled(track, steps, runs):
                                    stream=stream) for seed, stream in runs]
 
 
-def test_batched_worst_errors_equal_the_simulators(lap20, gains):
-    # each run's worst error is the max of its simulated position error,
-    # bit for bit: on a lap of 19.5 blocks and on the ellipse, for runs
-    # shorter than a block and for a group of one run
+def test_simulator_matches_per_step_loop_on_sampled_runs(lap20, gains):
+    # the loop's written-out step is the kernel functions' bit for bit on
+    # sampled and burst-cycle runs: on a lap of 19.5 blocks, on the ellipse,
+    # and for runs shorter than a block
     assert lap20.n_steps % control._SIM_BLOCK
     ellipse = build_reference_track(
         TrackSpec(shape="ellipse", semi_axis_b=200.0), 20.0, 4e-3)
     for track, schedules in (
             (lap20, [*_sampled(lap20, lap20.n_steps, [(1, 5), (7, 2)]),
                      _burst_cycle(lap20.n_steps, 120)]),
-            (ellipse, _sampled(ellipse, ellipse.n_steps, [(3, 0), (3, 1)])),
-            (ellipse, _sampled(ellipse, 300, [(5, 0), (5, 4), (9, 1)])),
-            (ellipse, _sampled(ellipse, ellipse.n_steps, [(11, 3)]))):
-        got = control._worst_position_errors(track, gains, schedules)
-        want = [np.max(simulate_closed_loop(track, gains, s).position_error())
-                for s in schedules]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+            (ellipse, _sampled(ellipse, ellipse.n_steps, [(3, 0), (11, 3)])),
+            (ellipse, _sampled(ellipse, 300, [(5, 0), (9, 1)]))):
+        for sched in schedules:
+            traj = simulate_closed_loop(track, gains, sched)
+            want = closed_loop_per_step(track, gains, sched)
+            for field, b in zip(fields(traj)[1:], want):   # after ts
+                a = getattr(traj, field.name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                    field.name)
 
 
-def test_batched_worst_errors_tell_burst_cycles_apart(lap20, gains):
+def test_simulator_tells_burst_cycles_apart(lap20, gains):
     # the held loop on the 20 s circle at 1 ms survives a burst cycle of up
     # to 113 losses, rho(A_L^n A_D) < 1: at 100 it keeps the loss-free
     # standing error of 3.92e-3 m, at 120 it diverges within the lap
-    calm, wild = control._worst_position_errors(
-        lap20, gains, [_burst_cycle(lap20.n_steps, n) for n in (100, 120)])
+    calm, wild = (
+        np.max(simulate_closed_loop(lap20, gains, _burst_cycle(
+            lap20.n_steps, n)).position_error()) for n in (100, 120))
     assert calm < 4e-3
     assert wild > 1.0
 
