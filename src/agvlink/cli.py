@@ -63,8 +63,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._io import write_table
 from ._version import __version__
 from .analysis import (
@@ -353,6 +351,7 @@ def _cmd_sweep(cfg: CliConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(cfg: CliConfig, args: argparse.Namespace) -> int:
+    import numpy as np
     scenario = cfg.scenario
     track = build_reference_track(scenario.track, scenario.trace_time,
                                   scenario.ts)

@@ -59,12 +59,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._io import write_table
 from .control import TWO_PI, Gains, ReferenceTrack
 from .exceptions import ParameterError
+
+if TYPE_CHECKING:   # for the annotations; each function imports numpy itself
+    import numpy as np
 
 __all__ = [
     "CandidateScan", "StabilityReport", "evaluate_candidate",
@@ -77,6 +79,7 @@ _REFINE_LEVELS = 16
 
 def _char_poly(a: np.ndarray) -> np.ndarray:
     """Coefficients of det(s I - a), highest power first."""
+    import numpy as np
     tr = a[0, 0] + a[1, 1] + a[2, 2]
     m2 = ((a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
           + (a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0])
@@ -126,6 +129,7 @@ class _OperatingPoint:
     def _h(self, n: int, radius: float, phi: np.ndarray) -> np.ndarray:
         """a0 + w a1 + w^2 a2 at z = radius e^(i phi), w = z^-n, scaled by
         min(1, radius^(2n)) so that no term's factor exceeds 1."""
+        import numpy as np
         lag = radius ** n if radius <= 1.0 else radius ** -n
         c0, c2 = (lag * lag, 1.0) if radius <= 1.0 else (1.0, lag * lag)
         a = self.poly
@@ -145,6 +149,7 @@ class _OperatingPoint:
         met on the circle (or a step that stays unresolved) counts as a root
         outside.
         """
+        import numpy as np
         phi = np.linspace(0.0, math.pi, 16 * (n + 2) + 1)
         lo, hi = phi[:-1], phi[1:]
         vals = self._h(n, radius, phi)
@@ -170,6 +175,7 @@ class _OperatingPoint:
 def _error_frame_loop(nu: float, delta: float, ts: float,
                       g: Gains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(M0, U, V) at reference speed nu with the heading turning delta per step."""
+    import numpy as np
     c, s = math.cos(delta), math.sin(delta)
     back = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])   # P(-delta)
     shear = np.eye(3)
@@ -180,6 +186,7 @@ def _error_frame_loop(nu: float, delta: float, ts: float,
 
 def _operating_point(track: ReferenceTrack, g: Gains, k: int) -> _OperatingPoint:
     """The error-frame delayed loop frozen at track step k."""
+    import numpy as np
     _, _, thetas, nus, _ = track.at([k, k + 1])
     m0, u, v = _error_frame_loop(float(nus[0]), float(thetas[1] - thetas[0]),
                                  track.ts, g)
@@ -195,6 +202,7 @@ def _operating_points(track: ReferenceTrack, g: Gains) -> tuple[_OperatingPoint,
     """The frozen-time points, fastest first. On the ellipse speed v phi' is
     reached at phi = pi + psi, sin^2 psi = (v^2 - b^2) / (a^2 - b^2): on the
     first quarter-lap, at the step nearest psi n_steps / (2 pi)."""
+    import numpy as np
     a, b = track.spec.semi_axis_a, track.spec.axis_b
     if a == b:
         steps = [0]
@@ -265,6 +273,7 @@ def _check_margin(margin: float) -> None:
 
 
 def _scan(points: tuple[_OperatingPoint, ...], n: int, margin: float) -> CandidateScan:
+    import numpy as np
     radii = [p.spectral_radius(n, 1.0 - margin) for p in points]
     worst = int(np.argmax(radii))
     return CandidateScan(n, bool(radii[worst] < 1.0 - margin),

@@ -7,10 +7,15 @@ values; samplers against their analytic marginals at 3-sigma tolerances with
 fixed seeds.
 """
 
+import ast
 import hashlib
+import inspect
 import math
 import subprocess
 import sys
+import tracemalloc
+import typing
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -18,6 +23,7 @@ import pytest
 from scipy import special as sp
 from scipy.stats import ncx2
 
+import agvlink
 from agvlink import (
     DEFAULT_CARRIER_FREQ,
     SPEED_OF_LIGHT,
@@ -374,12 +380,109 @@ def test_import_leaves_signal_and_stats_unloaded():
                    for m in ("scipy.signal", "scipy.stats"))
 
 
+def test_commands_that_compute_nothing_leave_numpy_unloaded(tmp_path):
+    # numpy loads at the first computation: importing the package, loading a
+    # config, --version, --help, a refused option and a refused config key
+    # load none of it, and the first command that computes loads it
+    good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
+    good.write_text("[sim]\nts_ms = 2.0\n")
+    bad.write_text("[sim]\nts_msec = 2.0\n")
+    lines = _run_probe(
+        "import contextlib, io, sys, agvlink, agvlink.cli\n"
+        "from agvlink.cli import load_config, main\n"
+        "load_config(None)\n"
+        f"load_config({str(good)!r})\n"
+        "print('numpy' in sys.modules)\n"
+        "for argv in (['--version'], ['--help'], ['nmax', '--ts-ms', '0'],\n"
+        f"             ['nmax', '--config', {str(bad)!r}],\n"
+        "             ['nmax', '--trace-time-s', '2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(code, 'numpy' in sys.modules)\n")
+    assert lines == ["False", "0 False", "0 False", "2 False", "2 False",
+                     "0 True"]
+
+
+class _NumpyUses(ast.NodeVisitor):
+    """Lines that read `np` in code, not in an annotation, where no enclosing
+    function has run its own `import numpy as np` yet."""
+
+    def __init__(self):
+        self.imports = []    # per enclosing function: its import's line or None
+        self.unbound = []
+
+    def visit_FunctionDef(self, node):
+        for expr in (*node.decorator_list, *node.args.defaults,
+                     *filter(None, node.args.kw_defaults)):
+            self.visit(expr)
+        self.imports.append(next(
+            (stmt.lineno for stmt in node.body if isinstance(stmt, ast.Import)
+             and any((a.name, a.asname) == ("numpy", "np") for a in stmt.names)),
+            None))
+        for stmt in node.body:
+            self.visit(stmt)
+        self.imports.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_AnnAssign(self, node):
+        self.visit(node.target)
+        if node.value is not None:
+            self.visit(node.value)
+
+    def visit_Name(self, node):
+        if node.id == "np" and isinstance(node.ctx, ast.Load) and not any(
+                line is not None and line < node.lineno
+                for line in self.imports):
+            self.unbound.append(node.lineno)
+
+
+def _unbound_numpy_uses(source: str) -> list[int]:
+    uses = _NumpyUses()
+    uses.visit(ast.parse(source))
+    return uses.unbound
+
+
+def test_every_numpy_use_follows_its_functions_import():
+    # no module imports numpy at the top, so a function that reads `np`
+    # without importing it first would fail only when it is first called
+    assert _unbound_numpy_uses(
+        "x: np.ndarray\n"
+        "def f(a: np.ndarray) -> np.ndarray:\n"
+        "    import numpy as np\n"
+        "    return np.hypot(a, a)\n"
+        "def g():\n"
+        "    y = np.zeros(1)\n"
+        "    import numpy as np\n"
+        "    return [np.sum(y) for _ in (1,)]\n") == [6]
+    package = Path(agvlink.__file__).parent
+    assert {path.name: _unbound_numpy_uses(path.read_text())
+            for path in sorted(package.glob("*.py"))
+            if _unbound_numpy_uses(path.read_text())} == {}
+
+
+def test_annotations_evaluate_with_numpy_passed_in():
+    # the modules bind `np` for type checkers only; the package docstring
+    # gives this call for evaluating the annotations at run time
+    for name in agvlink.__all__:
+        obj = getattr(agvlink, name)
+        members = ([obj, *(m for m in vars(obj).values() if inspect.isfunction(m))]
+                   if inspect.isclass(obj) else [obj])
+        for member in members:
+            if callable(member):
+                typing.get_type_hints(member, localns={"np": np})
+    hints = typing.get_type_hints(agvlink.Trajectory, localns={"np": np})
+    assert hints["x_e"] is np.ndarray
+
+
 @needs_fork
 def test_scipy_special_loads_before_any_fork():
     # a module first imported in a forked child is imported again by every
-    # child; the outage model is built before the Monte-Carlo runs and the
-    # trajectory rows are forked, so the children inherit scipy.special.
-    # Callers bind write_shares by name; _fork_share is the one fork point.
+    # child; the outage model is built and the track sampled before the
+    # Monte-Carlo runs and the trajectory rows are forked, so the children
+    # inherit scipy.special and numpy. Callers bind write_shares by name;
+    # _fork_share is the one fork point.
     lines = _run_probe(
         "import contextlib, io, os, sys\n"
         "from agvlink import _io, analysis\n"
@@ -388,7 +491,8 @@ def test_scipy_special_loads_before_any_fork():
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "fork_share, seen = _io._fork_share, []\n"
         "def recording_fork_share(*args):\n"
-        "    seen.append('scipy.special' in sys.modules)\n"
+        "    seen.append(('scipy.special' in sys.modules,\n"
+        "                 'numpy' in sys.modules))\n"
         "    return fork_share(*args)\n"
         "_io._fork_share = recording_fork_share\n"
         "for argv in (['montecarlo', '--trace-time-s', '2', '--runs', '2',\n"
@@ -400,7 +504,7 @@ def test_scipy_special_loads_before_any_fork():
         "        assert main(argv) == 0, argv\n"
         "    print(argv[0], seen)\n")
     # two processes: one forked child per command
-    assert lines == ["montecarlo [True]", "simulate [True]"]
+    assert lines == ["montecarlo [(True, True)]", "simulate [(True, True)]"]
 
 
 def test_link_params_validation():
@@ -460,6 +564,21 @@ def test_sample_fading_gains_prefix_does_not_depend_on_length():
     for n in (1, 2, 3, _AR1_BLOCK, _AR1_BLOCK + 1, 65_536, 131_071):
         got = sample_fading_gains(0.9, n, seed=9, stream=4)
         assert got.tobytes() == longest[:n].tobytes(), n
+
+
+def test_sampler_memory_holds_one_short_block():
+    # the recursion's Python lists (about 80 bytes a slot) hold one block,
+    # so a 20 000-slot loss sequence peaks at about 40 bytes a slot; blocks
+    # of 16 384 slots made it 82
+    slots = 20_000
+    tracemalloc.start()
+    try:
+        sample_outage_sequence(0.927409, 0.7693878389952673, slots, seed=1,
+                               stream=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / slots <= 48, peak / slots
 
 
 def test_sample_outage_sequence_stream_is_pinned():
