@@ -23,6 +23,9 @@ last delivered command (zero-order hold). The uplink is ideal, so the error
 is always measured from the fresh state.
 The reference track is a formula, not a stored lap: each reader evaluates
 `ReferenceTrack.at` at the steps it reads, so no memory grows with the lap.
+`write_trajectory_csv` writes a run's rows in blocks, each float byte for
+byte as its `repr`, but the digits of a whole block are computed together
+in numpy (`_rows.format_rows`), not by one `repr` call per value.
 """
 
 from __future__ import annotations
@@ -303,12 +306,17 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
     return Trajectory(ts, *outputs, outage=out_flag)   # in field order
 
 
-# Rows per formatted block: enough to amortise the numpy calls, few enough
-# that the block's Python floats and strings stay small beside the run.
+# Rows per formatted block. A block's numpy temporaries peak near 0.7 MB
+# (tracemalloc). Blocks of 512 rows took 5% more CPU at 0.5 MB; blocks of
+# 2048 took 26% less CPU but peak at 1.2 MB, which the allocator keeps, so
+# the process's peak RSS would grow by about as much (fastest of 11
+# alternating runs over 32 768 rows, 2-core x86-64 VM).
 _CSV_BLOCK_ROWS = 1024
-# Fewest rows worth a forked writer: formatting them takes about 0.1 s, a
-# fork and copying the child's text back under 0.01 s (2-core x86-64 VM).
-_MIN_SHARE_ROWS = 8 * _CSV_BLOCK_ROWS
+# Fewest rows worth a forked writer: formatting 4096 rows takes about 21 ms.
+# Two shares took 25-28% less wall time than one at 12 288 and 16 384 rows,
+# 4-5% less at 8192, and between 19% less and 2% more at 4096 (fastest of
+# 31 alternating runs, 2-core x86-64 VM), so a run forks from 8192 rows on.
+_MIN_SHARE_ROWS = 4 * _CSV_BLOCK_ROWS
 
 TRAJECTORY_COLUMNS = ["k", "t", "x_r", "y_r", "theta_r", "x_c", "y_c", "theta_c",
                       "x_e", "y_e", "theta_e", "nu_applied", "omega_applied",
@@ -319,6 +327,8 @@ def _write_rows(fh, traj: Trajectory, track: ReferenceTrack,
                 lo: int, hi: int) -> None:
     """Write rows lo..hi-1 of the run to `fh`, _CSV_BLOCK_ROWS at a time."""
     import numpy as np
+
+    from ._rows import format_rows
     states = [np.asarray(c, dtype=np.float64) for c in (
         traj.x_c, traj.y_c, traj.theta_c, traj.x_e, traj.y_e, traj.theta_e,
         traj.nu_applied, traj.omega_applied)]
@@ -326,26 +336,24 @@ def _write_rows(fh, traj: Trajectory, track: ReferenceTrack,
     for start in range(lo, hi, _CSV_BLOCK_ROWS):
         stop = min(start + _CSV_BLOCK_ROWS, hi)
         k = np.arange(start, stop)
-        floats = [k * traj.ts, *track.at(k)[:3],
-                  *(c[start:stop] for c in states)]
-        columns = [map(str, k.tolist()),
-                   *(map(repr, f.tolist()) for f in floats),
-                   map(str, flags[start:stop].tolist())]
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        fh.write(format_rows([k, k * traj.ts, *track.at(k)[:3],
+                              *(c[start:stop] for c in states),
+                              flags[start:stop]]))
 
 
 def write_trajectory_csv(traj: Trajectory, track: ReferenceTrack, path) -> None:
     """Write a run to CSV (one row per step, header mandatory, SI units).
 
     The reference columns come from `track.at`, as the simulator's do.
-    Each float is written as its shortest round-trip `repr` and each outage
-    flag as 0 or 1. Rows are formatted in blocks of `_CSV_BLOCK_ROWS`, so
-    memory does not grow with the length of the run. A run is worth one
-    share per `_MIN_SHARE_ROWS` rows, and `_io.write_shares` caps the shares
-    at one per usable CPU: this process writes the first, and a forked child
-    formats each other share, which is appended in order, so the bytes do
-    not depend on the split. A child only formats rows: it calls no BLAS. A
-    child that fails makes this call raise.
+    Each float is written byte for byte as its shortest round-trip `repr`
+    and each outage flag as 0 or 1. `_rows.format_rows` formats
+    `_CSV_BLOCK_ROWS` rows at a time, so memory does not grow with the
+    length of the run. A run is worth one share per `_MIN_SHARE_ROWS` rows,
+    and `_io.write_shares` caps the shares at one per usable CPU: this
+    process writes the first, and a forked child formats each other share,
+    which is appended in order, so the bytes do not depend on the split. A
+    child only formats rows: it calls no BLAS. A child that fails makes
+    this call raise.
     """
     with csv_sink(path) as fh:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")

@@ -529,15 +529,17 @@ def test_trajectory_csv_matches_per_row_repr(tiny_track, gains):
     ellipse = build_reference_track(TrackSpec(shape="ellipse",
                                               semi_axis_a=350.0,
                                               semi_axis_b=200.0), 20.0, 1e-2)
-    # block edges at 1024 rows, 2.5 laps of a fast circle and of an ellipse
+    # block edges, 2.5 laps of a fast circle and of an ellipse
+    block = control._CSV_BLOCK_ROWS
     cases = [(simulate_closed_loop(tiny_track, gains, lossy(n)), tiny_track)
-             for n in (1, 1023, 1024, 1025, 2 * 1024 + 3)]
+             for n in (1, block - 1, block, block + 1, 2 * block + 3)]
     cases += [(simulate_closed_loop(tr, gains, lossy(5 * tr.n_steps // 2)), tr)
               for tr in (circle, ellipse)]
     # values whose shortest repr differs from a fixed-precision format
     special = np.array([-0.0, 1e-05, 1.5e-07, 1e16, 1.2345678901234568e17,
-                        5e-324, math.nan, math.inf, -math.inf])
-    steps = 1030
+                        5e-324, math.nan, math.inf, -math.inf, 2.0**-1022,
+                        8e-323, 1e-4, 1e16 - 2, -1e-5])
+    steps = block + 6
     cols = [np.roll(np.resize(special, steps), j) for j in range(8)]
     cases.append((Trajectory(1e-3, *cols, outage=np.arange(steps) % 3 == 1),
                   tiny_track))
