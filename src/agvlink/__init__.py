@@ -11,13 +11,13 @@ composes the two sides into the instability probability and its parameter
 sweeps, and `cli` exposes everything as subcommands. The package re-exports
 the public API that every module but `cli` lists in its own `__all__`.
 
-Importing the package loads neither numpy nor scipy: each function that
-computes imports numpy itself, and the channel's special functions import
-scipy.special, so a process pays for them at its first computation, and
-`--help`, `--version` or a refused config not at all. A command that
-computes takes as long as if numpy loaded at import. The annotations that
-name `np` bind it for type checkers only, so evaluating them at run time
-needs it passed in: `typing.get_type_hints(obj, localns={"np": numpy})`.
+Importing the package loads neither numpy nor scipy. Each module binds
+`np` from `_lazy` at import: numpy, loaded at the first read of one of its
+attributes. The channel's special functions import scipy.special, so a
+process pays
+for them at its first computation, and `--help`, `--version` or a refused
+config not at all. A command that computes takes as long as if numpy
+loaded at import.
 """
 
 from ._version import __version__

@@ -3,12 +3,15 @@
 `format_rows` does not call `repr`. The shortest digits that round-trip come
 from Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020),
 computed for a block's floats together in numpy's uint64 arithmetic;
-CPython's layout of `repr` is then applied to them. The trajectory writer
-imports this module at its first block, and the tables at the first call,
-so importing the package neither compiles this module nor loads numpy.
+CPython's layout of `repr` is then applied to them. The module builds its
+tables when it is imported, and the trajectory writer imports it at its
+first block, so importing the package neither compiles this module nor
+builds its tables.
 """
 
 from __future__ import annotations
+
+from ._lazy import np
 
 
 # Schubfach's decimal exponents k of 10^-k: every double's k lies in here.
@@ -63,44 +66,45 @@ def _layout(cls: int, nd: int, neg: int) -> tuple[int, ...]:
     return neg + max(nd + 1, decpt + 2), neg, decpt, neg + decpt, 0, 0, 0, neg
 
 
-def _build_tables() -> dict:
-    """The formatter's constant tables (read-only)."""
-    import numpy as np
-    g = []     # 10^-k = g 2^r with 2^125 <= g < 2^126, g rounded up (+1)
-    for k in range(_K_MIN, _K_MAX + 1):
-        p = 10 ** abs(k)
-        if k > 0:
-            g.append((1 << 125 + p.bit_length()) // p + 1)
-        else:
-            r = p.bit_length() - 126
-            g.append((p >> r if r >= 0 else p << -r) + 1)
-    layouts = [_layout(c, nd, neg) for c in range(24) for nd in range(1, 18)
-               for neg in (0, 1)]
-    # a special value's window of zeros and its dot fall inside its text
-    layouts += [(len(text), 0, 18, 1, 0, 0, 0, text[0] == "-")
-                for text in _SPECIALS]
-    names = ("len", "start", "insert", "dot", "e", "exp", "sign", "minus")
-    tables = {
-        "g1": np.array([x >> 63 for x in g], np.uint64),
-        "g0": np.array([x & _M63 for x in g], np.uint64),
-        "pow10": np.array([10**i for i in range(18)], np.uint64),
-        # the three digits of the exponent decpt - 1, by decpt + _DECPT_BIAS
-        "exp_digits": np.frombuffer(b"".join(
-            b"%03d" % abs(d - _DECPT_BIAS - 1)
-            for d in range(2 * _DECPT_BIAS + 1)), np.uint8).reshape(-1, 3),
-        "low": np.array([[(1 << 8 * min(max(p - 8 * i, 0), 8)) - 1
-                          for p in range(19)] for i in range(3)], np.uint64),
-        "class": np.array([_decpt_class(d - _DECPT_BIAS)
-                           for d in range(2 * _DECPT_BIAS + 1)], np.int64),
-        **{name: np.array(column, bool if name == "minus" else np.int64)
-           for name, column in zip(names, zip(*layouts))},
-    }
-    for a in tables.values():
-        a.setflags(write=False)
-    return tables
+def _pow10_scaled(k: int) -> int:
+    """g with 10^-k = g 2^r and 2^125 <= g < 2^126, rounded up (+1)."""
+    p = 10 ** abs(k)
+    if k > 0:
+        return (1 << 125 + p.bit_length()) // p + 1
+    r = p.bit_length() - 126
+    return (p >> r if r >= 0 else p << -r) + 1
 
 
-_T: dict = {}       # the formatter's tables, built by its first call
+def _table(values, dtype=np.int64) -> np.ndarray:
+    """A read-only array of `values`."""
+    a = np.array(values, dtype)
+    a.setflags(write=False)
+    return a
+
+
+# The formatter's constant tables, built at import.
+_G = [_pow10_scaled(k) for k in range(_K_MIN, _K_MAX + 1)]
+_G1 = _table([g >> 63 for g in _G], np.uint64)
+_G0 = _table([g & _M63 for g in _G], np.uint64)
+_POW10 = _table([10**i for i in range(18)], np.uint64)
+# the three digits of the exponent decpt - 1, by decpt + _DECPT_BIAS
+_EXP_DIGITS = np.frombuffer(b"".join(
+    b"%03d" % abs(d - _DECPT_BIAS - 1)
+    for d in range(2 * _DECPT_BIAS + 1)), np.uint8).reshape(-1, 3)
+_LOW = _table([[(1 << 8 * min(max(p - 8 * i, 0), 8)) - 1 for p in range(19)]
+               for i in range(3)], np.uint64)
+_CLASS = _table([_decpt_class(d - _DECPT_BIAS)
+                 for d in range(2 * _DECPT_BIAS + 1)])
+_LAYOUTS = [_layout(c, nd, neg) for c in range(24) for nd in range(1, 18)
+            for neg in (0, 1)]
+# a special value's window of zeros and its dot fall inside its text
+_LAYOUTS += [(len(text), 0, 18, 1, 0, 0, 0, text[0] == "-")
+             for text in _SPECIALS]
+# each layout key's _layout fields
+_LEN, _START, _INSERT, _DOT, _E, _EXP, _SIGN, _MINUS = (
+    _table(column, dtype) for column, dtype
+    in zip(zip(*_LAYOUTS), [np.int64] * 7 + [bool]))
+del _G, _LAYOUTS
 
 
 def _mulhi(al, ah, bl, bh):
@@ -144,7 +148,7 @@ def _products(c, h, irregular, i):
     value, and for its rounding bounds (4c - 2) 2^h, or (4c - 1) 2^h where
     `irregular`, and (4c + 2) 2^h. The bounds' products are the value's
     moved by g0 2^s and g1 2^s, so only the value's need limb products."""
-    g1, g0 = _T["g1"].take(i), _T["g0"].take(i)
+    g1, g0 = _G1.take(i), _G0.take(i)
     cp = c << 2 + h
     cl, ch = cp & _M32, cp >> 32
     x1 = _mulhi(g0 & _M32, g0 >> 32, cl, ch)
@@ -168,7 +172,6 @@ def _shortest(bits):
     subnormal significands below 3 by ten, so 5e-324 stays 5e-324, not
     4.9e-324.
     """
-    import numpy as np
     t = bits & (1 << 52) - 1
     bq = bits >> 52
     q = np.maximum(bq, 1) - 1075
@@ -211,7 +214,6 @@ def _digit_words(F, insert=None):
     bytes 0..16 of three little-endian uint64 words per value ((n, 3)), and
     '0' in bytes 17..23. Where `insert` is below 18, the bytes from that
     index on move up by one, to make room for a dot."""
-    import numpy as np
     words = np.empty((len(F), 3), "<u8")   # its bytes are the text
     hi = F // 10**9
     lo = F - hi * 10**9
@@ -234,7 +236,7 @@ def _digit_words(F, insert=None):
     np.add(x, 0x3030303030303030, out=words[:, :2])
     if insert is not None:
         carry = 0
-        for col, low in enumerate(_T["low"]):
+        for col, low in enumerate(_LOW):
             w = words[:, col]
             low = low.take(insert)
             moved = w << 8
@@ -250,12 +252,11 @@ def _float_fields(x, digits, keys, decpts) -> None:
     """Write each float's shortest digits, padded with zeros to 17, into
     `digits`, its layout key into `keys` and its decimal point plus
     `_DECPT_BIAS` into `decpts`."""
-    import numpy as np
     finite = np.isfinite(x)
     nonzero = finite & (x != 0)
     f, k = _shortest(np.where(nonzero, x.view(np.int64) & _M63, 1))
     f *= nonzero                # zero, inf and nan: the digit 0
-    count = np.searchsorted(_T["pow10"], f, "right")
+    count = np.searchsorted(_POW10, f, "right")
     nd = count.copy()
     i = np.flatnonzero((f % 10 == 0) & (f > 0))
     tail = f[i]
@@ -268,13 +269,13 @@ def _float_fields(x, digits, keys, decpts) -> None:
     nd[f == 0] = 1
     decpt[f == 0] = 1
     decpt += _DECPT_BIAS
-    key = _T["class"].take(decpt) * 34
+    key = _CLASS.take(decpt) * 34
     key += nd * 2 - 2
     key += np.signbit(x)
     special = np.flatnonzero(~finite)
     key[special] = _NAN_KEY + np.where(
         np.isnan(x[special]), 0, 1 + (x[special] < 0))
-    np.multiply(f, _T["pow10"].take(17 - count), out=digits)
+    np.multiply(f, _POW10.take(17 - count), out=digits)
     keys[:], decpts[:] = key, decpt
 
 
@@ -282,7 +283,6 @@ def _put_windows(buf, pos, ends, words) -> None:
     """Write each value's 18-byte window of `words` at `pos`, or where it
     would cross its row's end (`ends`), byte by byte with the bytes past
     the row's newline clamped onto it."""
-    import numpy as np
     windows = np.ndarray((max(len(buf) - 17, 0),), "V18", buf, 0, (1,))
     text = words.view(np.uint8)[:, :18]
     crossing = pos + 18 > ends
@@ -297,23 +297,22 @@ def _put_windows(buf, pos, ends, words) -> None:
 def _punctuate(buf, begin, key, decpt) -> None:
     """Write the dot, sign, exponent or special text of floats whose texts
     start at `begin`, with decimal points `decpt` plus `_DECPT_BIAS`."""
-    import numpy as np
-    buf[begin + _T["dot"].take(key)] = ord(".")
-    buf[begin[_T["minus"].take(key)]] = ord("-")
-    sign = _T["sign"].take(key)
+    buf[begin + _DOT.take(key)] = ord(".")
+    buf[begin[_MINUS.take(key)]] = ord("-")
+    sign = _SIGN.take(key)
     ex = np.flatnonzero(sign)
     if len(ex):
         at = begin[ex]
-        e = at + _T["e"].take(key[ex])
-        at += _T["exp"].take(key[ex])
-        three = _T["exp_digits"][decpt[ex]]
+        e = at + _E.take(key[ex])
+        at += _EXP.take(key[ex])
+        three = _EXP_DIGITS[decpt[ex]]
         for j in range(3):
             buf[at + j] = three[:, j]
         buf[e] = ord("e")
         buf[e + 1] = sign[ex]
     special = np.flatnonzero(key >= _NAN_KEY)
     if len(special):
-        at = begin[special] + _T["minus"].take(key[special])
+        at = begin[special] + _MINUS.take(key[special])
         nan = key[special] == _NAN_KEY
         for j in range(3):
             buf[at + j] = np.where(nan, ord("nan"[j]), ord("inf"[j]))
@@ -334,9 +333,6 @@ def format_rows(columns) -> str:
     row's end is written byte by byte instead, with those bytes clamped
     onto the row's newline, which goes in last.
     """
-    import numpy as np
-    if not _T:
-        _T.update(_build_tables())      # about 3 ms
     n = len(columns[0])
     if n == 0:
         return ""
@@ -354,13 +350,13 @@ def format_rows(columns) -> str:
     # one-digit integers (flags) has no words, its digit goes in with the
     # punctuation
     ints = {}
-    row = sum(_T["len"].take(key) for key in keys) + len(columns)
+    row = sum(_LEN.take(key) for key in keys) + len(columns)
     for i, col in enumerate(columns):
         if col.dtype.kind != "f":
             v = col.astype(np.uint64)
-            width = np.maximum(np.searchsorted(_T["pow10"], v, "right"), 1)
+            width = np.maximum(np.searchsorted(_POW10, v, "right"), 1)
             ints[i] = (width, None if v.max() < 10 else _digit_words(
-                v * _T["pow10"].take(17 - width)), v)
+                v * _POW10.take(17 - width)), v)
             row += width
 
     ends = np.cumsum(row)
@@ -377,12 +373,12 @@ def format_rows(columns) -> str:
         else:
             if j % per == 0:    # free the last chunk's words first
                 part, words = slice(j, j + per), None
-                insert = _T["insert"].take(keys[part].reshape(-1))
+                insert = _INSERT.take(keys[part].reshape(-1))
                 words = _digit_words(digits[part].reshape(-1),
                                      insert).reshape(-1, n, 3)
             key = keys[j]
-            width = _T["len"].take(key)
-            _put_windows(buf, begin + _T["start"].take(key), ends,
+            width = _LEN.take(key)
+            _put_windows(buf, begin + _START.take(key), ends,
                          words[j % per])
             _punctuate(buf, begin, key, decpts[j])
             j += 1

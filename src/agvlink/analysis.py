@@ -23,9 +23,9 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING
 
 from ._io import _fmt, write_shares, write_table
+from ._lazy import np
 from ._version import __version__
 from .channel import (
     PRNG_ID,
@@ -39,9 +39,6 @@ from .channel import (
 from .control import Gains, TrackSpec, build_reference_track, simulate_closed_loop
 from .exceptions import NumericConsistencyError, ParameterError
 from .stability import outage_tolerance
-
-if TYPE_CHECKING:   # for the annotations; each function imports numpy itself
-    import numpy as np
 
 __all__ = [
     "ScenarioConfig", "PointResult", "SweepRow", "SweepResult",
@@ -227,7 +224,6 @@ def sweep_trace_time(cfg: ScenarioConfig,
 
 def longest_outage_run(outages: np.ndarray) -> int:
     """Length of the longest run of consecutive True entries."""
-    import numpy as np
     flat = np.asarray(outages, dtype=bool).ravel()
     padded = np.concatenate(([False], flat, [False])).view(np.int8)
     edges = np.flatnonzero(np.diff(padded))
@@ -258,7 +254,6 @@ def _write_runs(out, cfg: ScenarioConfig, model: OutageModel, slots: int,
     """Write one line per run lo..hi-1 to `out`: its longest loss run and,
     with a `track` to drive the closed loop along, `,` and the worst
     tracking error as its `repr`, which reads back exactly."""
-    import numpy as np
     for run_id in range(lo, hi):
         outages = sample_outage_sequence(model.rho, model.gamma_th, slots,
                                          cfg.seed, stream=run_id)
@@ -287,7 +282,6 @@ def montecarlo_instability(cfg: ScenarioConfig, runs: int,
     scans and simulates in numpy and Python floats, and calls no BLAS. A run
     depends only on its index, so the rows do not depend on the split.
     """
-    import numpy as np
     if runs < 1:
         raise ParameterError("runs must be at least 1")
     point = instability_probability(cfg)

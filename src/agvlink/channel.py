@@ -20,10 +20,9 @@ Python floats, whose repr the CSV writers print as plain numbers. Each is
 imported by the one function that calls it: importing scipy.special takes
 ~0.27 s (scipy's array-API shim), which only commands that evaluate the
 channel need. `build_outage_model` runs before any share is forked, so the
-children inherit the module. numpy (0.07-0.10 s to import) is imported the
-same way, by each function that computes with it, here as in every module
-of the package; no module evaluates `np` at import time, and the
-annotations that name it are strings.
+children inherit the module. numpy (0.07-0.10 s to import) loads at the
+first computation too, here as in every module of the package: `np` is
+bound from `_lazy`, which defers loading numpy to its first use.
 
 The sampler's normals are numpy's ziggurat `standard_normal`: nearly every
 value is a table product, not a `log` per pair as in the old polar method.
@@ -33,12 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from ._lazy import np
 from .exceptions import NumericConsistencyError, ParameterError
-
-if TYPE_CHECKING:   # for the annotations; each function imports numpy itself
-    import numpy as np
 
 __all__ = [
     "LinkParams", "OutageModel", "spectral_efficiency", "snr_threshold",
@@ -228,7 +224,6 @@ def build_outage_model(link: LinkParams, ts: float, velocity: float,
 # --- samplers --------------------------------------------------------------
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
-    import numpy as np
     # jumped(0) leaves the state as it is, so stream 0 is PCG64(seed) itself
     return np.random.Generator(np.random.PCG64(seed).jumped(stream))
 
@@ -247,7 +242,6 @@ def sample_fading_gains(rho: float, length: int, seed: int,
         raise ParameterError("|rho| must be below 1")
     if length < 1:
         raise ParameterError("length must be at least 1")
-    import numpy as np
     z = _generator(seed, stream).standard_normal(2 * length)
     z *= math.sqrt(0.5)
     cplx = z.view(np.complex128)

@@ -64,6 +64,7 @@ import sys
 from dataclasses import dataclass
 
 from ._io import write_table
+from ._lazy import np
 from ._version import __version__
 from .analysis import (
     DEFAULT_TRACE_GRID,
@@ -351,7 +352,6 @@ def _cmd_sweep(cfg: CliConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(cfg: CliConfig, args: argparse.Namespace) -> int:
-    import numpy as np
     scenario = cfg.scenario
     track = build_reference_track(scenario.track, scenario.trace_time,
                                   scenario.ts)

@@ -33,13 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from ._io import csv_sink, write_shares
+from ._lazy import np
 from .exceptions import ParameterError
-
-if TYPE_CHECKING:   # for the annotations; each function imports numpy itself
-    import numpy as np
 
 __all__ = [
     "Gains", "TrackSpec", "ReferenceTrack", "Trajectory",
@@ -126,7 +123,6 @@ class ReferenceTrack:
         3 pi/2, so a lap starts at -pi/2) plus the ellipse's angle from it,
         which lies in (-pi/2, pi/2), so it needs no unwrapping.
         """
-        import numpy as np
         lap, r = np.divmod(k, self.n_steps)
         a, b = self.spec.semi_axis_a, self.spec.axis_b
         # a numpy float, so that a cube too large for a float is inf
@@ -144,7 +140,6 @@ class ReferenceTrack:
 
     @cached_property
     def _lap(self) -> tuple[np.ndarray, ...]:
-        import numpy as np
         return self.at(np.arange(self.n_steps + 1))
 
     xs, ys, thetas, nus, omegas = (property(lambda self, i=i: self._lap[i])
@@ -159,7 +154,6 @@ def build_reference_track(spec: TrackSpec, trace_time: float, ts: float) -> Refe
     Nothing is sampled here but the slowest and the fastest step, whose
     speed and turn rate must be finite.
     """
-    import numpy as np
     if not 0.0 < ts < math.inf:
         raise ParameterError("sampling period ts must be positive and finite")
     if not ts <= trace_time < math.inf:
@@ -240,7 +234,6 @@ class Trajectory:
 
     def position_error(self) -> np.ndarray:
         """Per-step ||(x_e, y_e)||."""
-        import numpy as np
         return np.hypot(self.x_e, self.y_e)
 
 
@@ -266,7 +259,6 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
     from `track.at` as Python floats, keeps the per-step values in lists and
     stores them into the output arrays once at the block's end.
     """
-    import numpy as np
     out_flag = np.array(outage_schedule, dtype=bool)   # a copy: step 0 is cleared
     steps = len(out_flag)
     if steps == 0:
@@ -326,8 +318,6 @@ TRAJECTORY_COLUMNS = ["k", "t", "x_r", "y_r", "theta_r", "x_c", "y_c", "theta_c"
 def _write_rows(fh, traj: Trajectory, track: ReferenceTrack,
                 lo: int, hi: int) -> None:
     """Write rows lo..hi-1 of the run to `fh`, _CSV_BLOCK_ROWS at a time."""
-    import numpy as np
-
     from ._rows import format_rows
     states = [np.asarray(c, dtype=np.float64) for c in (
         traj.x_c, traj.y_c, traj.theta_c, traj.x_e, traj.y_e, traj.theta_e,

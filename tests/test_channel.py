@@ -383,96 +383,109 @@ def test_import_leaves_signal_and_stats_unloaded():
 def test_commands_that_compute_nothing_leave_numpy_unloaded(tmp_path):
     # numpy loads at the first computation: importing the package, loading a
     # config, --version, --help, a refused option and a refused config key
-    # load none of it, and the first command that computes loads it
+    # load none of it, and the first command that computes loads it. The
+    # unloaded `numpy` is in sys.modules from the import on; its submodules
+    # are not.
     good, bad = tmp_path / "good.ini", tmp_path / "bad.ini"
     good.write_text("[sim]\nts_ms = 2.0\n")
     bad.write_text("[sim]\nts_msec = 2.0\n")
     lines = _run_probe(
         "import contextlib, io, sys, agvlink, agvlink.cli\n"
         "from agvlink.cli import load_config, main\n"
+        "def loaded():\n"
+        "    return any(m.startswith('numpy.') for m in sys.modules)\n"
         "load_config(None)\n"
         f"load_config({str(good)!r})\n"
-        "print('numpy' in sys.modules)\n"
+        "print(loaded())\n"
         "for argv in (['--version'], ['--help'], ['nmax', '--ts-ms', '0'],\n"
         f"             ['nmax', '--config', {str(bad)!r}],\n"
         "             ['nmax', '--trace-time-s', '2']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
         "            contextlib.redirect_stderr(io.StringIO()):\n"
         "        code = main(argv)\n"
-        "    print(code, 'numpy' in sys.modules)\n")
+        "    print(code, loaded())\n")
     assert lines == ["False", "0 False", "0 False", "2 False", "2 False",
                      "0 True"]
 
 
-class _NumpyUses(ast.NodeVisitor):
-    """Lines that read `np` in code, not in an annotation, where no enclosing
-    function has run its own `import numpy as np` yet."""
-
-    def __init__(self):
-        self.imports = []    # per enclosing function: its import's line or None
-        self.unbound = []
-
-    def visit_FunctionDef(self, node):
-        for expr in (*node.decorator_list, *node.args.defaults,
-                     *filter(None, node.args.kw_defaults)):
-            self.visit(expr)
-        self.imports.append(next(
-            (stmt.lineno for stmt in node.body if isinstance(stmt, ast.Import)
-             and any((a.name, a.asname) == ("numpy", "np") for a in stmt.names)),
-            None))
-        for stmt in node.body:
-            self.visit(stmt)
-        self.imports.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_AnnAssign(self, node):
-        self.visit(node.target)
-        if node.value is not None:
-            self.visit(node.value)
-
-    def visit_Name(self, node):
-        if node.id == "np" and isinstance(node.ctx, ast.Load) and not any(
-                line is not None and line < node.lineno
-                for line in self.imports):
-            self.unbound.append(node.lineno)
-
-
-def _unbound_numpy_uses(source: str) -> list[int]:
-    uses = _NumpyUses()
-    uses.visit(ast.parse(source))
-    return uses.unbound
+def test_numpy_binding_is_the_loaded_module():
+    # numpy imported first is bound as it is
+    assert _run_probe(
+        "import numpy, agvlink\n"
+        "print(agvlink.control.np is numpy)\n") == ["True"]
+    # bound before numpy loads, every module's `np` is numpy itself, a
+    # plain module, once the first computation has loaded it
+    lines = _run_probe(
+        "import contextlib, io, sys, types, agvlink, agvlink.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert agvlink.cli.main(['nmax', '--trace-time-s', '2']) == 0\n"
+        "import agvlink._rows\n"
+        "numpy = sys.modules['numpy']\n"
+        "binding = {name: vars(m)['np'] for name, m in sys.modules.items()\n"
+        "           if name.startswith('agvlink') and 'np' in vars(m)}\n"
+        "print(' '.join(sorted(binding)))\n"
+        "print(type(numpy) is types.ModuleType,\n"
+        "      all(np is numpy for np in binding.values()))\n")
+    assert lines == ["agvlink._lazy agvlink._rows agvlink.analysis "
+                     "agvlink.channel agvlink.cli agvlink.control "
+                     "agvlink.stability", "True True"]
+    # a numpy that cannot be found fails the import, naming numpy
+    assert _run_probe(
+        "import sys\n"
+        "from importlib.machinery import PathFinder\n"
+        "class WithoutNumpy(PathFinder):\n"
+        "    @classmethod\n"
+        "    def find_spec(cls, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] != 'numpy':\n"
+        "            return super().find_spec(name, path, target)\n"
+        "sys.meta_path[sys.meta_path.index(PathFinder)] = WithoutNumpy\n"
+        "try:\n"
+        "    import agvlink\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name)\n") == ["numpy"]
 
 
-def test_every_numpy_use_follows_its_functions_import():
-    # no module imports numpy at the top, so a function that reads `np`
-    # without importing it first would fail only when it is first called
-    assert _unbound_numpy_uses(
-        "x: np.ndarray\n"
-        "def f(a: np.ndarray) -> np.ndarray:\n"
-        "    import numpy as np\n"
-        "    return np.hypot(a, a)\n"
-        "def g():\n"
-        "    y = np.zeros(1)\n"
-        "    import numpy as np\n"
-        "    return [np.sum(y) for _ in (1,)]\n") == [6]
+def test_only_the_lazy_helper_imports_numpy():
+    # numpy loads at its first use because `_lazy` binds it so: every other
+    # module that reads `np` binds it from there at module level, and keeps
+    # its annotations unevaluated, so that none of them reads numpy at import
     package = Path(agvlink.__file__).parent
-    assert {path.name: _unbound_numpy_uses(path.read_text())
-            for path in sorted(package.glob("*.py"))
-            if _unbound_numpy_uses(path.read_text())} == {}
+    importers, readers = [], {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom)
+                     and node.level == 0 else [])
+            if any(n.partition(".")[0] == "numpy" for n in names):
+                importers.append(path.name)
+        if path.name != "_lazy.py" and any(
+                isinstance(node, ast.Name) and node.id == "np"
+                for node in ast.walk(tree)):
+            readers[path.name] = {
+                (node.level, node.module, alias.name, alias.asname)
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert importers == ["_lazy.py"]
+    assert sorted(readers) == ["_rows.py", "analysis.py", "channel.py",
+                               "cli.py", "control.py", "stability.py"]
+    for name, imports in readers.items():
+        assert {(1, "_lazy", "np", None),
+                (0, "__future__", "annotations", None)} <= imports, name
 
 
-def test_annotations_evaluate_with_numpy_passed_in():
-    # the modules bind `np` for type checkers only; the package docstring
-    # gives this call for evaluating the annotations at run time
+def test_annotations_evaluate_at_run_time():
+    # `np` is a module global of every module that names it, so the
+    # annotations evaluate with no namespace passed in (and load numpy)
     for name in agvlink.__all__:
         obj = getattr(agvlink, name)
         members = ([obj, *(m for m in vars(obj).values() if inspect.isfunction(m))]
                    if inspect.isclass(obj) else [obj])
         for member in members:
             if callable(member):
-                typing.get_type_hints(member, localns={"np": np})
-    hints = typing.get_type_hints(agvlink.Trajectory, localns={"np": np})
+                typing.get_type_hints(member)
+    hints = typing.get_type_hints(agvlink.Trajectory)
     assert hints["x_e"] is np.ndarray
 
 
@@ -492,7 +505,7 @@ def test_scipy_special_loads_before_any_fork():
         "fork_share, seen = _io._fork_share, []\n"
         "def recording_fork_share(*args):\n"
         "    seen.append(('scipy.special' in sys.modules,\n"
-        "                 'numpy' in sys.modules))\n"
+        "                 any(m.startswith('numpy.') for m in sys.modules)))\n"
         "    return fork_share(*args)\n"
         "_io._fork_share = recording_fork_share\n"
         "for argv in (['montecarlo', '--trace-time-s', '2', '--runs', '2',\n"
