@@ -1,15 +1,15 @@
 """Stability and outage analysis of a cloud-controlled AGV on a fading link.
 
 The package splits along the system boundary: `control` holds the unicycle
-tracking loop (reference tracks, and the error transform, control law and
-plant step that the closed-loop simulator calls), `stability`
-linearizes that loop with every command n samples old and searches for the
-largest lag at which it stays stable, `channel` models the correlated
-Rayleigh downlink (per-slot and back-to-back outage probabilities, with J0
-and Marcum Q1 taken from scipy.special, and fading samplers), `analysis`
-composes the two sides into the instability probability and its parameter
-sweeps, and `cli` exposes everything as subcommands. The package re-exports
-the public API that every module but `cli` lists in its own `__all__`.
+tracking loop (reference tracks, and the closed-loop simulator, whose loop
+is the package's one step kernel), `stability` linearizes that loop with
+every command n samples old and searches for the largest lag at which it
+stays stable, `channel` models the correlated Rayleigh downlink (per-slot
+and back-to-back outage probabilities, with J0 and Marcum Q1 taken from
+scipy.special, and fading samplers), `analysis` composes the two sides into
+the instability probability and its parameter sweeps, and `cli` exposes
+everything as subcommands. The package re-exports the public API that every
+module but `cli` lists in its own `__all__`.
 
 Importing the package loads neither numpy nor scipy. Each module binds
 `np` from `_lazy` at import: numpy, loaded at the first read of one of its

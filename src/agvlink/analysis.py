@@ -253,14 +253,16 @@ def _write_runs(out, cfg: ScenarioConfig, model: OutageModel, slots: int,
                 track, lo: int, hi: int) -> None:
     """Write one line per run lo..hi-1 to `out`: its longest loss run and,
     with a `track` to drive the closed loop along, `,` and the worst
-    tracking error as its `repr`, which reads back exactly."""
+    tracking error as its `repr`, which reads back exactly: `inf` for a run
+    whose state left the floats, which the simulator records as nan."""
     for run_id in range(lo, hi):
         outages = sample_outage_sequence(model.rho, model.gamma_th, slots,
                                          cfg.seed, stream=run_id)
         line = str(longest_outage_run(outages))
         if track is not None:
             traj = simulate_closed_loop(track, cfg.gains, outages)
-            line += f",{float(np.max(traj.position_error()))!r}"
+            worst = float(np.max(traj.position_error()))
+            line += f",{math.inf if math.isnan(worst) else worst!r}"
         out.write(line + "\n")
 
 

@@ -15,6 +15,7 @@ falls back to the built-in factory defaults (10 MHz shared by 50 vehicles,
 
     [gains]
     k_x_per_s = 10.0
+    ; in 1/m^2, despite the key's name (omega gains nu_r k_y y_e)
     k_y_per_m = 0.0064
     k_theta_per_m = 0.16
 

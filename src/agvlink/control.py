@@ -7,20 +7,21 @@ the tracking error in the vehicle frame,
     y_e = -sin(theta_c) dx + cos(theta_c) dy      (dx, dy = reference - actual)
     theta_e = theta_r - theta_c
 
-and sends back the velocity command
+and sends back the velocity command of Kanayama et al.'s tracking law
+(ICRA 1990)
 
     nu    = nu_r cos(theta_e) + k_x x_e
     omega = omega_r + nu_r (k_y y_e + k_theta sin(theta_e))
 
-which the vehicle integrates with a forward-Euler step of period ts.
-`tracking_error`, `control_law` and `plant_step` are these three equations on
-plain floats. The closed-loop simulator writes the same expressions out in
-its loop, in the same order, so every value it records equals the
-functions' bit for bit; a step then makes no function calls and takes one
-cos and sin of the heading instead of two of each. Commands
-travel over a lossy downlink: on a lost packet the vehicle keeps applying the
-last delivered command (zero-order hold). The uplink is ideal, so the error
-is always measured from the fresh state.
+which the vehicle integrates with a forward-Euler step of period ts. The
+closed-loop simulator's loop is the package's one copy of these equations: a
+step makes no function calls and takes one cos and sin of the heading for
+both the error and the Euler step. `stability` holds their linearisation.
+The tests hold both to three plain functions in `tests/conftest.py`, the
+loop bit for bit and the Jacobians by central differences. Commands travel
+over a lossy downlink: on a lost packet the vehicle keeps applying the last
+delivered command (zero-order hold). The uplink is ideal, so the error is
+always measured from the fresh state.
 The reference track is a formula, not a stored lap: each reader evaluates
 `ReferenceTrack.at` at the steps it reads, so no memory grows with the lap.
 `write_trajectory_csv` writes a run's rows in blocks, each float byte for
@@ -40,8 +41,8 @@ from .exceptions import ParameterError
 
 __all__ = [
     "Gains", "TrackSpec", "ReferenceTrack", "Trajectory",
-    "build_reference_track", "tracking_error", "control_law", "plant_step",
-    "simulate_closed_loop", "wrap_angle", "write_trajectory_csv",
+    "build_reference_track", "simulate_closed_loop", "wrap_angle",
+    "write_trajectory_csv",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -58,7 +59,7 @@ def wrap_angle(angle: float) -> float:
 
 @dataclass(frozen=True)
 class Gains:
-    """Feedback gains; k_x in 1/s, k_y and k_theta in 1/m."""
+    """Feedback gains; k_x in 1/s, k_y in 1/m^2 and k_theta in 1/m."""
 
     k_x: float = 10.0
     k_y: float = 6.4e-3
@@ -182,38 +183,6 @@ def build_reference_track(spec: TrackSpec, trace_time: float, ts: float) -> Refe
     return track
 
 
-def tracking_error(x_r: float, y_r: float, theta_r: float,
-                   x: float, y: float, theta: float) -> tuple[float, float, float]:
-    """(x_e, y_e, theta_e): the reference pose minus the vehicle pose, rotated
-    into the vehicle frame; theta_e is left unwrapped."""
-    c, s = math.cos(theta), math.sin(theta)
-    dx, dy = x_r - x, y_r - y
-    return c * dx + s * dy, -s * dx + c * dy, theta_r - theta
-
-
-def control_law(x_e: float, y_e: float, theta_e: float, nu_r: float,
-                omega_r: float, g: Gains) -> tuple[float, float]:
-    """Tracking feedback (nu, omega); reduces to (nu_r, omega_r) at zero error.
-
-    theta_e is wrapped into (-pi, pi] first: the law is derived for small
-    errors and accumulated headings would otherwise feed spurious full turns
-    into the trig terms on long runs.
-    """
-    th = wrap_angle(theta_e)
-    return (nu_r * math.cos(th) + g.k_x * x_e,
-            omega_r + nu_r * (g.k_y * y_e + g.k_theta * math.sin(th)))
-
-
-def plant_step(x: float, y: float, theta: float, nu: float, omega: float,
-               ts: float) -> tuple[float, float, float]:
-    """One forward-Euler step of the unicycle difference equation."""
-    if ts <= 0.0:   # plant_step's refusal, made once
-        raise ParameterError("sampling period ts must be positive")
-    return (x + ts * math.cos(theta) * nu,
-            y + ts * math.sin(theta) * nu,
-            theta + ts * omega)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Closed-loop run: per-step states, errors, applied commands, loss flags."""
@@ -253,11 +222,13 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
     The run length equals len(outage_schedule); schedules longer than one lap
     wrap around the closed track with the heading continued across laps.
 
-    Each step is `tracking_error`, `control_law` and `plant_step` on Python
-    floats, written out in the loop, plus the hold register. It runs
-    `_SIM_BLOCK` steps at a time: a block reads its stretch of the track
-    from `track.at` as Python floats, keeps the per-step values in lists and
-    stores them into the output arrays once at the block's end.
+    Each step is the module's error transform, control law and Euler step
+    on Python floats, written out in the loop, plus the hold register. It
+    runs `_SIM_BLOCK` steps at a time: a block reads its stretch of the
+    track from `track.at` as Python floats, keeps the per-step values in
+    lists and stores them into the output arrays once at the block's end.
+    A run that diverges until its state leaves the floats is recorded, not
+    refused: its values from the failing step on are nan.
     """
     out_flag = np.array(outage_schedule, dtype=bool)   # a copy: step 0 is cleared
     steps = len(out_flag)
@@ -266,7 +237,7 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
     out_flag[0] = False   # the first command seeds the hold register
 
     ts = track.ts
-    if ts <= 0.0:   # plant_step's refusal, made once
+    if ts <= 0.0:   # a ReferenceTrack built directly can carry any ts
         raise ParameterError("sampling period ts must be positive")
     k_x, k_y, k_theta = g.k_x, g.k_y, g.k_theta
     cos, sin = math.cos, math.sin
@@ -278,20 +249,29 @@ def simulate_closed_loop(track: ReferenceTrack, g: Gains,
         values = [[] for _ in range(8)]
         (put_xc, put_yc, put_thc, put_xe, put_ye, put_the,
          put_nu, put_om) = [v.append for v in values]
-        for x_r, y_r, th_r, nu_r, om_r, lost in zip(
-                *(v.tolist() for v in track.at(np.arange(lo, hi))),
-                out_flag[lo:hi].tolist()):
-            c, s = cos(th), sin(th)   # tracking_error's and plant_step's
-            dx, dy = x_r - x, y_r - y
-            xe, ye, the = c * dx + s * dy, -s * dx + c * dy, th_r - th
-            if not lost:   # control_law
-                w = wrap_angle(the)
-                nu = nu_r * cos(w) + k_x * xe
-                om = om_r + nu_r * (k_y * ye + k_theta * sin(w))
-            put_xc(x); put_yc(y); put_thc(th)
-            put_xe(xe); put_ye(ye); put_the(the)
-            put_nu(nu); put_om(om)
-            x, y, th = x + ts * c * nu, y + ts * s * nu, th + ts * om
+        block = zip(*(v.tolist() for v in track.at(np.arange(lo, hi))),
+                    out_flag[lo:hi].tolist())
+        try:
+            for x_r, y_r, th_r, nu_r, om_r, lost in block:
+                c, s = cos(th), sin(th)   # the error's and the Euler step's
+                dx, dy = x_r - x, y_r - y
+                xe, ye, the = c * dx + s * dy, -s * dx + c * dy, th_r - th
+                if not lost:   # the control law
+                    w = wrap_angle(the)
+                    nu = nu_r * cos(w) + k_x * xe
+                    om = om_r + nu_r * (k_y * ye + k_theta * sin(w))
+                put_xc(x); put_yc(y); put_thc(th)
+                put_xe(xe); put_ye(ye); put_the(the)
+                put_nu(nu); put_om(om)
+                x, y, th = x + ts * c * nu, y + ts * s * nu, th + ts * om
+        except (ValueError, OverflowError):
+            # the state left the floats (the cos of an infinite heading, the
+            # wrap of a nan or infinite error): the run diverged, and its
+            # values from this step on are nan
+            for out, vals in zip(outputs, values):
+                out[lo:lo + len(vals)] = vals
+                out[lo + len(vals):] = math.nan
+            break
         for out, vals in zip(outputs, values):
             out[lo:hi] = vals
 

@@ -12,11 +12,10 @@ import pytest
 import agvlink
 from agvlink import (
     Gains,
+    ParameterError,
     TrackSpec,
     build_reference_track,
-    control_law,
-    plant_step,
-    tracking_error,
+    wrap_angle,
 )
 
 
@@ -117,6 +116,43 @@ def one_minus_pbb_mp(gamma_th: float, rho: float) -> float:
         return float(numerator / mpmath.expm1(gamma_th))
 
 
+# The step kernel as three plain functions: the reference that the
+# simulator's written-out loop, the constant-delay oracle and the Jacobians
+# of `stability._error_frame_loop` are held to. `control_law` wraps with the
+# package's `wrap_angle`, so the loop can be compared bit for bit.
+
+def tracking_error(x_r: float, y_r: float, theta_r: float,
+                   x: float, y: float, theta: float) -> tuple[float, float, float]:
+    """(x_e, y_e, theta_e): the reference pose minus the vehicle pose, rotated
+    into the vehicle frame; theta_e is left unwrapped."""
+    c, s = math.cos(theta), math.sin(theta)
+    dx, dy = x_r - x, y_r - y
+    return c * dx + s * dy, -s * dx + c * dy, theta_r - theta
+
+
+def control_law(x_e: float, y_e: float, theta_e: float, nu_r: float,
+                omega_r: float, g: Gains) -> tuple[float, float]:
+    """Tracking feedback (nu, omega); reduces to (nu_r, omega_r) at zero error.
+
+    theta_e is wrapped into (-pi, pi] first: the law is derived for small
+    errors and accumulated headings would otherwise feed spurious full turns
+    into the trig terms on long runs.
+    """
+    th = wrap_angle(theta_e)
+    return (nu_r * math.cos(th) + g.k_x * x_e,
+            omega_r + nu_r * (g.k_y * y_e + g.k_theta * math.sin(th)))
+
+
+def plant_step(x: float, y: float, theta: float, nu: float, omega: float,
+               ts: float) -> tuple[float, float, float]:
+    """One forward-Euler step of the unicycle difference equation."""
+    if ts <= 0.0:
+        raise ParameterError("sampling period ts must be positive")
+    return (x + ts * math.cos(theta) * nu,
+            y + ts * math.sin(theta) * nu,
+            theta + ts * omega)
+
+
 def reference_per_step(track, steps):
     """Yield (x_r, y_r, theta_r, nu_r, omega_r) for steps 0..steps-1, one
     `.item` lookup each: step k reads sample k mod n_steps of the lap views,
@@ -154,8 +190,8 @@ def delayed_position_error(track, gains, n, steps):
     every command reaches the vehicle n samples after it was computed: the
     command applied at step k was computed from the pose at step k - n. No
     command has arrived during the first n steps, so the vehicle waits at the
-    start with a zero command. It steps with the simulator's kernel functions
-    on the reference of `reference_per_step`."""
+    start with a zero command. It steps with the kernel functions above on
+    the reference of `reference_per_step`."""
     x, y, th = track.xs.item(0), track.ys.item(0), track.thetas.item(0)
     in_flight = deque([(0.0, 0.0)] * n)
     x_e, y_e = np.empty(steps), np.empty(steps)
@@ -202,7 +238,7 @@ def _error_step(e_cur, e_stale, ref, ref_next, nu, omega, ts, g):
     """One nonlinear step in error coordinates: the vehicle sits at error
     e_cur from the reference pose ref = (x, y, theta) and applies the command
     computed from the stale error e_stale; the next error is taken against
-    ref_next. It runs the simulator's own kernel functions."""
+    ref_next. It runs the kernel functions above."""
     th_c = ref[2] - e_cur[2]
     c, s = math.cos(th_c), math.sin(th_c)
     veh = (ref[0] - (c * e_cur[0] - s * e_cur[1]),

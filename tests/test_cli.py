@@ -15,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +215,24 @@ def test_package_all_names_unique_and_resolvable():
             assert getattr(agvlink, name) is obj, name
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 assert obj.__module__ == module.__name__, name
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a public name that no code of the package or of the benchmark reads is
+    # API that only the tests use; a name counts where it is loaded, as a
+    # name or an attribute, not where it is defined or listed in __all__
+    sources = [*Path(agvlink.__file__).parent.glob("*.py"),
+               *(Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")]
+    loaded = set()
+    for path in sources:
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert [name for name in agvlink.__all__ if name not in loaded] == []
 
 
 def test_main_config_error_is_exit_2(tmp_path, capsys):
@@ -663,6 +682,24 @@ def test_montecarlo_summary_and_csv(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "unstable " not in stdout.splitlines()[-1]
     assert "run_id," in stdout
+
+
+def test_diverging_runs_are_written(tmp_path, capsys):
+    # at 300 ms the loop leaves the floats within the run: the trajectory
+    # keeps every row, nan from the failing step on, and a co-simulated run's
+    # worst tracking error is inf
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--ts-ms", "300", "--steps", "3000",
+                 "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3000
+    assert rows[-1][5:13] == ["nan"] * 8
+    assert main(["montecarlo", "--ts-ms", "300", "--trace-time-s", "600",
+                 "--runs", "2", "--cosimulate", "--out", str(out)]) == 0
+    body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert [l.rsplit(",", 1)[1] for l in body] == [
+        "max_tracking_error_m", "inf", "inf"]
+    assert capsys.readouterr().err == ""
 
 
 @needs_fork

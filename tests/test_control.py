@@ -20,10 +20,7 @@ from agvlink import (
     TrackSpec,
     Trajectory,
     build_reference_track,
-    control_law,
-    plant_step,
     simulate_closed_loop,
-    tracking_error,
     wrap_angle,
     write_trajectory_csv,
 )
@@ -31,7 +28,14 @@ from agvlink import control
 from agvlink.channel import LinkParams, build_outage_model, sample_outage_sequence
 from agvlink.control import TRAJECTORY_COLUMNS
 
-from conftest import closed_loop_per_step, delayed_position_error, needs_fork
+from conftest import (
+    closed_loop_per_step,
+    control_law,
+    delayed_position_error,
+    needs_fork,
+    plant_step,
+    tracking_error,
+)
 
 finite_angle = st.floats(-50.0, 50.0)
 small_coord = st.floats(-1e3, 1e3)
@@ -430,6 +434,25 @@ def test_simulator_tells_burst_cycles_apart(lap20, gains):
             lap20.n_steps, n)).position_error()) for n in (100, 120))
     assert calm < 4e-3
     assert wild > 1.0
+
+
+def test_simulator_records_a_run_that_leaves_the_floats(gains):
+    # at 300 ms the loss-free loop on the default circle diverges until its
+    # heading is infinite, in the run's second block: every step is kept, the
+    # steps before the failing one are the per-step loop's bit for bit (with
+    # infinite values among them), and every value from it on is nan
+    track = build_reference_track(TrackSpec(), 500.0, 0.3)
+    steps = 3000
+    traj = simulate_closed_loop(track, gains, np.zeros(steps, dtype=bool))
+    got = [getattr(traj, f.name) for f in fields(traj)[1:-1]]
+    assert [len(a) for a in got] == [steps] * 8
+    fail = int(np.flatnonzero(~np.isnan(got).all(axis=0))[-1]) + 1
+    assert control._SIM_BLOCK < fail < steps
+    assert all(np.isnan(a[fail:]).all() for a in got)
+    assert np.isinf(got).any(axis=0)[:fail].any()
+    want = closed_loop_per_step(track, gains, np.zeros(fail, dtype=bool))
+    for a, b in zip(got, want):
+        assert a[:fail].tobytes() == b.tobytes()
 
 
 def test_delay_oracle_matches_simulator(tiny_track, gains):
